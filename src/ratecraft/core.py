@@ -51,6 +51,20 @@ def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
+    """Interval breakpoints as floats, finite with 0 = s[0] < ... < s[-1] = 1."""
+    s = _as_float_tuple(values)
+    if len(s) < 2:
+        raise ValueError("need at least one interval (two breakpoints)")
+    if not all(math.isfinite(v) for v in s):
+        raise ValueError("breakpoints must be finite")
+    if s[0] != 0.0 or s[-1] != 1.0:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if any(b <= a for a, b in zip(s, s[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return s
+
+
 @dataclass(frozen=True)
 class StepBeta:
     """Step rating function: probability of a positive rating per quality.
@@ -68,20 +82,14 @@ class StepBeta:
     t: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        s = _as_float_tuple(self.s)
+        s = _checked_breakpoints(self.s)
         t = _as_float_tuple(self.t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
-        if len(s) < 2:
-            raise ValueError("need at least one interval (two breakpoints)")
         if len(t) != len(s) - 1:
             raise ValueError(
                 f"got {len(t)} levels for {len(s) - 1} intervals"
             )
-        if s[0] != 0.0 or s[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(s, s[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
         if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("levels must be nondecreasing")
         if t[0] < 0.0 or t[-1] > 1.0:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import WeightSpec
+from .core import WeightSpec, _checked_breakpoints
 
 __all__ = [
     "Partition",
@@ -25,7 +25,14 @@ __all__ = [
     "within_mass",
     "asymptotic_value",
     "optimize_partition",
+    "MAX_GRID",
 ]
+
+# Largest breakpoint grid the dynamic program accepts: its mass table holds
+# about grid**2 / 2 floats, 67 MB at this limit.
+MAX_GRID = 4096
+# Rows of the mass table stored per block; also bounds the per-sweep buffer.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -35,14 +42,7 @@ class Partition:
     s: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        s = tuple(float(v) for v in self.s)
-        object.__setattr__(self, "s", s)
-        if len(s) < 2:
-            raise ValueError("need at least one interval")
-        if s[0] != 0.0 or s[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(s, s[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        object.__setattr__(self, "s", _checked_breakpoints(self.s))
 
     @property
     def M(self) -> int:
@@ -187,17 +187,24 @@ class _GridMass:
         rect = self._rect[bs, a] - self._rect[a, a]
         return tri - rect
 
-    def spans_to_end(self, as_: np.ndarray) -> np.ndarray:
-        """Mass of triangles from each grid index in as_ up to 1."""
-        if self.analytic:
-            g = self.grid
-            return np.asarray(
-                _named_interval_mass(self.w.kind, as_ / g, 1.0), dtype=float
-            )
-        G = self.grid
-        tri = self._tri[G] - self._tri[as_]
-        rect = self._rect[G, as_] - self._rect[as_, as_]
-        return tri - rect
+
+def _mass_blocks(mass: _GridMass) -> list[tuple[int, np.ndarray]]:
+    """Upper triangle of T[a, b], the within mass of [a/G, b/G], by row blocks.
+
+    The block starting at row a0 holds rows a0..a0+_ROW_BLOCK-1 over columns
+    a0+1..G, so together the blocks take about G**2/2 floats.  Entries with
+    b <= a are +inf, so a min-plus step never picks them.
+    """
+    G = mass.grid
+    blocks = []
+    for a0 in range(0, G, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, G - a0)
+        block = np.full((rows, G - a0), np.inf)
+        for r in range(rows):
+            a = a0 + r
+            block[r, r:] = mass.span(a, np.arange(a + 1, G + 1))
+        blocks.append((a0, block))
+    return blocks
 
 
 def optimize_partition(
@@ -210,8 +217,13 @@ def optimize_partition(
 
     The rank-agreement kinds (kendall, spearman) are returned equispaced,
     which is exactly optimal for them.  Other kinds are solved by dynamic
-    programming with breakpoints restricted to multiples of ``1/grid``;
-    ties go to the lexicographically smallest breakpoint vector.
+    programming with breakpoints restricted to multiples of ``1/grid``.
+    The within masses T[a, b] of [a/grid, b/grid] are tabulated once,
+    upper triangle only (about grid**2 / 2 floats), and each further
+    interval adds one min-plus sweep over that table, O(grid**2) time.
+    The table's memory is why ``grid`` may not exceed ``MAX_GRID`` on
+    this route.  Each sweep keeps the first minimizing breakpoint, so ties
+    go to the lexicographically smallest breakpoint vector.
 
     Parameters
     ----------
@@ -219,6 +231,12 @@ def optimize_partition(
         "auto" uses the equispaced shortcut where exact; "dp" forces the
         grid search (useful for cross-checking one route against the
         other).
+
+    Raises
+    ------
+    ValueError
+        If ``grid`` exceeds ``MAX_GRID`` on the dynamic-programming route,
+        or is smaller than ``M``.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -226,53 +244,41 @@ def optimize_partition(
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and w.kind in ("kendall", "spearman"):
         return equispaced_partition(M)
+    if grid > MAX_GRID:
+        raise ValueError(
+            f"grid {grid} exceeds the limit of {MAX_GRID} for the partition "
+            "dynamic program"
+        )
     if M > grid:
         raise ValueError(f"grid {grid} too coarse for {M} intervals")
     if M == 1:
         return Partition((0.0, 1.0))
 
-    mass = _GridMass(w, grid)
     G = grid
-    # cost[j][a]: least within-interval mass splitting [a/G, 1] into j
-    # intervals.  Interval mass is Monge (nested intervals never lose to
-    # crossing ones), so each layer's argmin is monotone in a and divide
-    # and conquer evaluates it in O(G log G).
-    cost = np.full((M + 1, G + 1), np.inf)
-    idx = np.arange(G + 1)
-    cost[1][:G] = mass.spans_to_end(idx[:G])
-
+    mass = _GridMass(w, G)
+    blocks = _mass_blocks(mass)
+    # cost[a]: least within-interval mass splitting [a/G, 1] into j
+    # intervals, +inf where that is impossible.  For j = 1 it is T[a, G],
+    # the table's last column; layer j is
+    # cost_j[a] = min over b of T[a, b] + cost_{j-1}[b].  step[j, a] keeps
+    # the first minimizing b, so reading the breakpoints forward from a = 0
+    # gives the lexicographically smallest optimal vector.
+    cost = np.append(np.concatenate([block[:, -1] for _, block in blocks]), np.inf)
+    # int16 holds every index up to MAX_GRID
+    step = np.zeros((M + 1, G + 1), dtype=np.int16)
+    buf = np.empty((_ROW_BLOCK, G))
     for j in range(2, M + 1):
-        prev = cost[j - 1]
-        cur = np.full(G + 1, np.inf)
-        b_cap = G - (j - 1)
-        a_max = G - j
-        stack = [(0, a_max, 1, b_cap)]
-        while stack:
-            a_lo, a_hi, b_lo, b_hi = stack.pop()
-            if a_lo > a_hi:
-                continue
-            a = (a_lo + a_hi) // 2
-            lo = max(b_lo, a + 1)
-            hi = b_hi
-            bs = np.arange(lo, hi + 1)
-            seg = mass.span(a, bs) + prev[bs]
-            k = int(np.argmin(seg))
-            cur[a] = seg[k]
-            b_star = lo + k
-            stack.append((a_lo, a - 1, b_lo, b_star))
-            stack.append((a + 1, a_hi, b_star, b_hi))
-        cost[j] = cur
+        nxt = np.full(G + 1, np.inf)
+        for a0, block in blocks:
+            rows, width = block.shape
+            seg = np.add(block, cost[a0 + 1 :], out=buf[:rows, :width])
+            k = seg.argmin(axis=1)
+            nxt[a0 : a0 + rows] = seg[np.arange(rows), k]
+            step[j, a0 : a0 + rows] = k + (a0 + 1)
+        cost = nxt
 
-    # forward reconstruction; argmin takes the first (smallest) index, so
-    # ties resolve to the lexicographically smallest breakpoint vector
     bounds = [0]
-    a = 0
     for j in range(M, 1, -1):
-        lo, hi = a + 1, G - (j - 1)
-        bs = np.arange(lo, hi + 1)
-        seg = mass.span(a, bs) + cost[j - 1][bs]
-        b = lo + int(np.argmin(seg))
-        bounds.append(b)
-        a = b
+        bounds.append(int(step[j, bounds[-1]]))
     bounds.append(G)
     return Partition(tuple(k / G for k in bounds))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -133,6 +134,16 @@ class TestRate:
         code, _, err = run(capsys, "rate", "--design", str(tmp_path / "no.json"))
         assert code == 1
 
+    def test_nan_breakpoint_is_input_error(self, design_file, tmp_path, capsys):
+        payload = json.loads(design_file.read_text())
+        payload["s"][1] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))  # json writes the token NaN
+        code, _, err = run(capsys, "rate", "--design", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestDouble:
     def test_doubles_level_count(self, design_file, tmp_path, capsys):
@@ -187,6 +198,17 @@ class TestPartition:
             "--method", "dp", "--out", str(tmp_path / "p.csv"),
         )
         assert code == 1
+
+    def test_grid_above_limit_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code, _, err = run(
+            capsys, "partition", "--w", "bottom", "--M", "3", "--grid", "5000",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "4096" in err
+        assert not out.exists()
 
 
 class TestFitH:

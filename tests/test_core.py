@@ -67,6 +67,11 @@ class TestStepBeta:
         with pytest.raises(ValueError):
             StepBeta((0.1, 0.5, 1.0), (0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite_breakpoint(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StepBeta((0.0, bad, 1.0), (0.1, 0.9))
+
     def test_rejects_decreasing_levels(self):
         with pytest.raises(ValueError):
             StepBeta((0.0, 0.5, 1.0), (0.8, 0.2))

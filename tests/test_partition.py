@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from scipy.integrate import dblquad
 
 from ratecraft.core import normalize_weight
 from ratecraft.partition import (
+    MAX_GRID,
     Partition,
+    _GridMass,
     asymptotic_value,
     equispaced_partition,
     interval_mass,
@@ -42,6 +46,26 @@ def enumerate_best(w, M, G):
     return best, best_cost
 
 
+def dense_dp(w, M, G):
+    """Breakpoints from a plain min-plus DP over the dense (G+1)^2 mass table.
+
+    Shares only the grid mass evaluation with ``optimize_partition``; ties
+    go to the first index, as there.
+    """
+    mass = _GridMass(w, G)
+    T = np.full((G + 1, G + 1), np.inf)
+    for a in range(G):
+        T[a, a + 1 :] = mass.span(a, np.arange(a + 1, G + 1))
+    cost = [T[:, G]]  # cost[j - 1][a]: best split of [a/G, 1] into j intervals
+    for _ in range(2, M + 1):
+        cost.append(np.min(T + cost[-1][None, :], axis=1))
+    bounds = [0]
+    for j in range(M, 1, -1):
+        bounds.append(int(np.argmin(T[bounds[-1]] + cost[j - 2])))
+    bounds.append(G)
+    return tuple(b / G for b in bounds)
+
+
 class TestPartitionType:
     def test_validates_span(self):
         with pytest.raises(ValueError):
@@ -52,6 +76,11 @@ class TestPartitionType:
     def test_validates_order(self):
         with pytest.raises(ValueError):
             Partition((0.0, 0.6, 0.4, 1.0))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Partition((0.0, bad, 1.0))
 
     def test_equispaced(self):
         assert equispaced_partition(4).s == (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -122,6 +151,38 @@ class TestOptimizePartition:
             got = tuple(round(v * G) for v in part.s)
             assert within_mass(w, part) == pytest.approx(best_cost, abs=1e-13)
             assert got == best
+            assert dense_dp(w, M, G) == part.s
+
+    @pytest.mark.parametrize("kind,M,G", [("kendall", 3, 4), ("spearman", 3, 8)])
+    def test_exact_ties_take_smallest_breakpoints(self, kind, M, G):
+        # on a dyadic grid the tied costs are exactly equal in floating point
+        w = normalize_weight(kind)
+        part = optimize_partition(w, M, grid=G, method="dp")
+        best, _ = enumerate_best(w, M, G)
+        assert tuple(round(v * G) for v in part.s) == best
+        assert dense_dp(w, M, G) == part.s
+
+    @pytest.mark.parametrize(
+        "w,M,G",
+        [
+            *((normalize_weight(k), 200, 1000) for k in ("top", "bottom", "extremes")),
+            (normalize_weight("custom", raw=lambda a, b: (a - b) * (1 + a * b)), 20, 400),
+        ],
+        ids=("top", "bottom", "extremes", "custom"),
+    )
+    def test_matches_dense_dp_oracle(self, w, M, G):
+        assert optimize_partition(w, M, grid=G, method="dp").s == dense_dp(w, M, G)
+
+    def test_mass_table_memory_stays_triangular(self):
+        # a dense (G+1)^2 table plus a same-size temporary peaks near 17 MiB
+        w = normalize_weight("extremes")
+        tracemalloc.start()
+        try:
+            optimize_partition(w, 200, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_bottom_partition_shifts_left(self):
         part = optimize_partition(normalize_weight("bottom"), 3, grid=300)
@@ -143,6 +204,19 @@ class TestOptimizePartition:
             for M in (2, 3, 4, 6)
         ]
         assert all(b <= a + 1e-13 for a, b in zip(costs, costs[1:]))
+
+    def test_grid_limit_checked_before_allocating(self):
+        w = normalize_weight("bottom")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(MAX_GRID)):
+                optimize_partition(w, 3, grid=MAX_GRID + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the equispaced shortcut never builds the table
+        assert optimize_partition(normalize_weight("kendall"), 3, grid=MAX_GRID + 1).M == 3
 
     def test_grid_must_fit_interval_count(self):
         with pytest.raises(ValueError):
