@@ -146,6 +146,8 @@ def _load_sim_design(args):
         raise CliError(f"cannot read design file {args.design!r}")
     except json.JSONDecodeError as exc:
         raise CliError(f"design file {args.design!r} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise CliError(f"design file {args.design!r} is not a JSON object")
     if "probabilities" in payload:
         if args.psi is None:
             raise CliError("a question-mix design needs --psi for response rates")
@@ -172,7 +174,6 @@ def _cmd_simulate(args) -> int:
         seed=_seed(args),
         replicates=args.replicates,
         record_at=tuple(args.record_at) if args.record_at else None,
-        design_label=label,
     )
     result = run_simulation(cfg, jobs=args.jobs)
     result.to_csv(args.out)
@@ -295,7 +296,6 @@ def _figure_sim_panel(args) -> None:
                 metrics=tuple(args.metrics),
                 seed=_seed(args),
                 replicates=args.replicates,
-                design_label=label,
             )
             sim = run_simulation(cfg, jobs=args.jobs)
             for k in sim.record_steps:

@@ -209,6 +209,25 @@ def _raw_weight(kind: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
+# The named raw weights as short sums of separable terms,
+# raw(a, b) = sum_k F_k(a) * G_k(b); each entry maps a to the F row and b
+# to the G row.  This is what lets the simulator score a ranking in
+# O(n log n) instead of summing over all n^2 pairs.
+_WEIGHT_FACTORS = {
+    "kendall": (lambda a: (np.ones_like(a),), lambda b: (np.ones_like(b),)),
+    "spearman": (lambda a: (a, -np.ones_like(a)), lambda b: (np.ones_like(b), b)),
+    "top": (lambda a: (a * a, -a), lambda b: (b, b * b)),
+    "bottom": (
+        lambda a: ((1.0 - a) * a, -(1.0 - a)),
+        lambda b: (1.0 - b, (1.0 - b) * b),
+    ),
+    "extremes": (
+        lambda a: ((0.5 - a) ** 2 * a, -((0.5 - a) ** 2)),
+        lambda b: ((0.5 - b) ** 2, (0.5 - b) ** 2 * b),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Pair weight w(theta1, theta2) on {theta1 > theta2}, normalized so the
@@ -236,6 +255,20 @@ class WeightSpec:
         if np.isscalar(theta1) and np.isscalar(theta2):
             return float(out)
         return out
+
+    def factors(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Separable form of the raw weight at the qualities ``theta``.
+
+        Returns ``F`` and ``G`` of shape ``(K, n)`` with
+        ``raw(theta[i], theta[j]) == sum_k F[k, i] * G[k, j]`` up to
+        rounding; K is 1 for kendall and 2 for the other named kinds.
+        Custom weights have no such form and raise ``ValueError``.
+        """
+        if self.kind not in _WEIGHT_FACTORS:
+            raise ValueError(f"{self.kind} weight has no separable form")
+        f, g = _WEIGHT_FACTORS[self.kind]
+        t = np.asarray(theta, dtype=float)
+        return np.stack(f(t)), np.stack(g(t))
 
     def quadrature_integral(self, grid: int = 1000) -> float:
         """Integral over {theta1 > theta2} by composite midpoint quadrature.
@@ -306,10 +339,11 @@ class QuestionBank:
         object.__setattr__(self, "psi", psi)
         if len(thetas) == 0 or len(self.questions) == 0:
             raise ValueError("bank must have at least one quality and question")
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ValueError("anchor qualities must be strictly increasing")
-        if thetas[0] <= 0.0 or thetas[-1] >= 1.0:
+        # written so that NaN fails: it compares false with everything
+        if not all(0.0 < v < 1.0 for v in thetas):
             raise ValueError("anchor qualities must lie strictly inside (0, 1)")
+        if not all(a < b for a, b in zip(thetas, thetas[1:])):
+            raise ValueError("anchor qualities must be strictly increasing")
         if len(set(self.questions)) != len(self.questions):
             raise ValueError("duplicate question ids")
         if psi.shape != (len(thetas), len(self.questions)):
@@ -317,7 +351,7 @@ class QuestionBank:
                 f"psi shape {psi.shape} does not match "
                 f"({len(thetas)}, {len(self.questions)})"
             )
-        if np.any(psi < 0.0) or np.any(psi > 1.0):
+        if not np.all((psi >= 0.0) & (psi <= 1.0)):
             raise ValueError("response probabilities must lie within [0, 1]")
         for name in ("positives", "totals"):
             counts = getattr(self, name)
@@ -493,17 +527,33 @@ def save_design(
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _number_list(payload: dict, key: str) -> list:
+    values = payload[key]
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError(f"design file {key!r} must be a list of numbers")
+    return values
+
+
 def load_design(path: str | Path) -> dict:
     """Read a design file back into live objects.
 
     Returns a dict with keys ``beta``, ``g``, ``w_kind``, ``rate``,
     ``residual``.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    beta = make_step_beta(payload["s"], payload["t"])
+    payload = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "design file")
+    beta = make_step_beta(_number_list(payload, "s"), _number_list(payload, "t"))
     if payload["M"] != beta.M:
         raise ValueError("design file M does not match its own levels")
-    g = MatchProfile(payload["g"]["kind"], tuple(payload["g"]["values"]))
+    g_entry = _json_object(payload["g"], "design file 'g'")
+    g = MatchProfile(g_entry["kind"], tuple(_number_list(g_entry, "values")))
     if g.M != beta.M:
         raise ValueError("design file matching profile has the wrong length")
     rate = payload.get("rate")
@@ -512,7 +562,7 @@ def load_design(path: str | Path) -> dict:
     return {
         "beta": beta,
         "g": g,
-        "w_kind": payload["w"]["kind"],
+        "w_kind": _json_object(payload["w"], "design file 'w'")["kind"],
         "rate": rate,
         "residual": payload.get("residual"),
     }

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import StepBeta, WeightSpec, normalize_weight
+from .core import _WEIGHT_FACTORS, StepBeta, WeightSpec, normalize_weight
 
 __all__ = [
     "SimConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "SimResult",
 ]
 
-_METRIC_KINDS = ("kendall", "spearman", "top", "bottom", "extremes")
 _MATCHING_KINDS = ("uniform", "linear")
 
 
@@ -64,7 +63,6 @@ class SimConfig:
     seed: int = 0
     replicates: int = 1
     record_at: tuple[int, ...] | None = None
-    design_label: str = "design"
 
     def __post_init__(self) -> None:
         if self.n_items < 2:
@@ -82,7 +80,7 @@ class SimConfig:
         if not metrics:
             raise ValueError("at least one metric required")
         for m in metrics:
-            if m not in _METRIC_KINDS:
+            if m not in _WEIGHT_FACTORS:
                 raise ValueError(f"unknown metric {m!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
@@ -107,7 +105,7 @@ class SimConfig:
         p = np.asarray(self.design(thetas), dtype=float)
         if p.shape != np.shape(thetas):
             raise ValueError("design must return one probability per quality")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("design probabilities must lie within [0, 1]")
         return p
 
@@ -183,35 +181,124 @@ def step_market(state: MarketState, cfg: SimConfig, rng: np.random.Generator) ->
     return state
 
 
-class _PairWeights:
-    """Pair weight matrix for the current item qualities, reused across
-    recording steps until churn invalidates it."""
+_BLOCK = 16
 
-    def __init__(self, w: WeightSpec):
-        self.w = w
-        self.matrix: np.ndarray | None = None
-        self.denominator = 0.0
+
+def _signed_dominance(ranks: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``D[k, p] = sum over q < p of G[k, q] * sign(ranks[p] - ranks[q])``.
+
+    ``ranks`` holds nonnegative integers, ``G`` one row per column to
+    sum.  Positions are padded to a power of two.  Aligned blocks of
+    ``_BLOCK`` positions are compared densely; then each merge level pairs
+    neighbouring blocks, adds the left block's sums below and above every
+    rank into the right block, and merges the two rank orders.  Time is
+    O(K n log n) and memory O(K n).  Every step is an elementwise
+    operation or a running sum along one row, so row k's result does not
+    depend on the other rows.
+    """
+    K, n = G.shape
+    size = max(_BLOCK, 1 << (n - 1).bit_length())
+    pad = int(ranks.max()) + 1
+    r = np.full(size, pad, dtype=np.int64)
+    r[:n] = ranks
+    g = np.zeros((K, size))
+    g[:, :n] = G
+    D = np.zeros((K, size))
+    rb = r.reshape(-1, _BLOCK)
+    gb = g.reshape(K, -1, _BLOCK)
+    db = D.reshape(K, -1, _BLOCK)
+    for d in range(1, _BLOCK):
+        db[:, :, d:] += gb[:, :, :-d] * np.sign(rb[:, d:] - rb[:, :-d])
+    # positions of each block, in rank order
+    perm = np.argsort(rb, axis=1, kind="stable") + np.arange(0, size, _BLOCK)[:, None]
+    h = _BLOCK
+    while h < size:
+        pairs = perm.reshape(-1, 2 * h)
+        left, right = pairs[:, :h], pairs[:, h:]
+        row = np.arange(pairs.shape[0]).repeat(h)
+        # row-offset keys make the left halves one sorted array
+        keys = r[left].ravel() + row * (pad + 1)
+        probe = r[right].ravel() + row * (pad + 1)
+        cum = np.zeros((K, pairs.shape[0], h + 1))
+        np.cumsum(g[:, left], axis=-1, out=cum[:, :, 1:])
+        cum = cum.reshape(K, -1)
+        # an index into keys is row * h + count; rows of cum hold h + 1 entries
+        below = cum[:, np.searchsorted(keys, probe, "left") + row]
+        not_above = cum[:, np.searchsorted(keys, probe, "right") + row]
+        total = cum[:, row * (h + 1) + h]
+        D[:, right.ravel()] += below - (total - not_above)
+        h *= 2
+        if h < size:
+            order = np.argsort(r[pairs], axis=1, kind="stable")
+            perm = np.take_along_axis(pairs, order, axis=1)
+    return D[:, :n]
+
+
+class _RankObjective:
+    """Weighted rank agreement of one market under several named weights.
+
+    With raw(a, b) = sum_k F_k(a) G_k(b) (:meth:`WeightSpec.factors`), the
+    pair sum over theta_i > theta_j of raw * sign(s_i - s_j) equals
+    sum_k sum_i F_k(theta_i) D_k,i, where D_k,i sums G_k(theta_j) *
+    sign(s_i - s_j) over the items of lower quality.  Sorting by quality
+    turns D into :func:`_signed_dominance`.  The quality order, the factor
+    rows and the denominators are kept until :meth:`rebuild` is called for
+    new qualities.
+    """
+
+    def __init__(self, weights: Sequence[WeightSpec]):
+        self.weights = tuple(weights)
 
     def rebuild(self, theta: np.ndarray) -> None:
-        t1 = theta[:, None]
-        t2 = theta[None, :]
-        raw = np.asarray(self.w.raw(t1, t2), dtype=float) * self.w.constant
-        self.matrix = np.where(t1 > t2, raw, 0.0)
-        self.denominator = float(self.matrix.sum())
+        self.order = np.argsort(theta, kind="stable")
+        t = theta[self.order]
+        F, G, self.columns = [], [], []
+        for w in self.weights:
+            f, g = w.factors(t)
+            self.columns.append(slice(len(F), len(F) + len(f)))
+            F.extend(f)
+            G.extend(g)
+        self.F = np.asarray(F)
+        self.G = np.asarray(G)
+        n = t.size
+        first = np.ones(n, dtype=bool)
+        first[1:] = t[1:] != t[:-1]
+        # pairs of equal quality carry no weight: only items before an
+        # item's tie group count as lower
+        self.start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+        self.group = None if first.all() else np.cumsum(first) - 1
+        prefix = np.zeros((self.G.shape[0], n + 1))
+        np.cumsum(self.G, axis=1, out=prefix[:, 1:])
+        den = (self.F * prefix[:, self.start]).sum(axis=1)
+        self.denominators = [den[c].sum() for c in self.columns]
 
-    def value(self, scores: np.ndarray) -> float:
-        sign = np.sign(scores[:, None] - scores[None, :])
-        return float((self.matrix * sign).sum() / self.denominator)
+    def values(self, scores: np.ndarray) -> list[float]:
+        """One objective per weight; score ties contribute zero."""
+        ranks = np.unique(scores[self.order], return_inverse=True)[1]
+        D = _signed_dominance(ranks, self.G)
+        if self.group is not None:
+            # the positional pass also counted earlier members of each
+            # item's own tie group; those are exactly the pairs that rank
+            # before the item under the key (group, rank) minus the
+            # items of earlier groups
+            key = self.group * (int(ranks.max()) + 1) + ranks
+            same = _signed_dominance(key, np.ones((1, key.size)))[0] - self.start
+            D -= self.G * same
+        num = (self.F * D).sum(axis=1)
+        return [
+            float(num[c].sum() / den) if den else math.nan
+            for c, den in zip(self.columns, self.denominators)
+        ]
 
 
 def empirical_objective(state: MarketState, w: WeightSpec) -> float:
     """Weighted fraction of correctly ordered pairs minus incorrectly
-    ordered ones; score ties contribute zero."""
+    ordered ones; score ties contribute zero.  Named weight kinds only."""
     if state.theta.size < 2:
         raise ValueError("need at least two items")
-    pair = _PairWeights(w)
-    pair.rebuild(state.theta)
-    return pair.value(state.scores())
+    objective = _RankObjective((w,))
+    objective.rebuild(state.theta)
+    return objective.values(state.scores())[0]
 
 
 @dataclass(frozen=True)
@@ -257,7 +344,7 @@ class SimResult:
 def _run_replicate(cfg: SimConfig, rep: int) -> list[tuple[int, int, str, float]]:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
     state = init_market(cfg, rng)
-    weights = {name: _PairWeights(normalize_weight(name)) for name in cfg.metrics}
+    objective = _RankObjective([normalize_weight(name) for name in cfg.metrics])
     record = set(cfg.record_schedule())
     rows: list[tuple[int, int, str, float]] = []
     seen_births = -1
@@ -265,12 +352,10 @@ def _run_replicate(cfg: SimConfig, rep: int) -> list[tuple[int, int, str, float]
         step_market(state, cfg, rng)
         if k in record:
             if state.births != seen_births:
-                for pair in weights.values():
-                    pair.rebuild(state.theta)
+                objective.rebuild(state.theta)
                 seen_births = state.births
-            scores = state.scores()
-            for name in cfg.metrics:
-                rows.append((rep, k, name, weights[name].value(scores)))
+            values = objective.values(state.scores())
+            rows.extend((rep, k, name, v) for name, v in zip(cfg.metrics, values))
     return rows
 
 

@@ -144,6 +144,14 @@ class TestRate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_list_levels_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "scalar.json"
+        bad.write_text(json.dumps({"t": 5, "s": 3, "M": 1}))
+        code, _, err = run(capsys, "rate", "--design", str(bad))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "list of numbers" in err
+
 
 class TestDouble:
     def test_doubles_level_count(self, design_file, tmp_path, capsys):
@@ -248,6 +256,22 @@ class TestFitH:
         )
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("row", ["nan,q,0.5", "0.5,q,nan"])
+    def test_non_finite_psi_row_is_input_error(self, tmp_path, quartile_beta,
+                                               row, capsys):
+        target = tmp_path / "target.json"
+        save_design(target, quartile_beta, MatchProfile.uniform(4), "kendall")
+        psi = tmp_path / "psi.csv"
+        psi.write_text(f"theta,question,psi\n0.25,q,0.2\n{row}\n0.75,q,0.9\n")
+        out = tmp_path / "h.json"
+        code, _, err = run(
+            capsys, "fit-h", "--beta", str(target), "--psi", str(psi),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEstimatePsi:
@@ -394,6 +418,22 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--design", str(alien),
                            "--out", str(tmp_path / "s.csv"))
         assert code == 1 and "neither" in err
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text("5")
+        code, _, err = run(capsys, "simulate", "--design", str(scalar),
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 1 and "JSON object" in err
+
+    def test_non_list_levels_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "scalar.json"
+        bad.write_text(json.dumps({"t": 5, "s": 3, "M": 1}))
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "simulate", "--design", str(bad),
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "list of numbers" in err
+        assert not out.exists()
 
 
 class TestFigure:

@@ -266,6 +266,22 @@ class TestQuestionBank:
         with pytest.raises(ValueError):
             QuestionBank.from_csv_text("theta,question,value\n0.5,q,0.3\n")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_anchor(self, bad):
+        with pytest.raises(ValueError, match="anchor"):
+            QuestionBank((0.2, bad), ("q",), np.array([[0.1], [0.5]]))
+        with pytest.raises(ValueError, match="anchor"):
+            QuestionBank((bad,), ("q",), np.array([[0.5]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_psi(self, bad):
+        with pytest.raises(ValueError, match="within"):
+            QuestionBank((0.2, 0.8), ("q",), np.array([[0.1], [bad]]))
+
+    def test_nan_quality_row_rejected(self):
+        with pytest.raises(ValueError, match="anchor"):
+            QuestionBank.from_csv_text("theta,question,psi\nnan,q,0.5\n")
+
     def test_counts_must_be_consistent(self):
         with pytest.raises(ValueError):
             QuestionBank(

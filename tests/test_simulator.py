@@ -2,6 +2,7 @@
 and the Monte Carlo pair-error rate fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,27 @@ from ratecraft import (
     run_simulation,
     step_market,
 )
-from ratecraft.simulator import _PairWeights
 
 FLAT = StepBeta((0.0, 1.0), (0.5,))
 SPLIT = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
+NAMED = ("kendall", "spearman", "top", "bottom", "extremes")
+
+
+def dense_pair_weights(w, theta):
+    """Reference n x n pair weights: w(theta_i, theta_j) where theta_i >
+    theta_j, zero elsewhere."""
+    t1 = theta[:, None]
+    t2 = theta[None, :]
+    raw = np.asarray(w.raw(t1, t2), dtype=float) * w.constant
+    return np.where(t1 > t2, raw, 0.0)
+
+
+def dense_objective(theta, scores, w):
+    """Reference O(n^2) rank agreement: the pair sum written out."""
+    matrix = dense_pair_weights(w, theta)
+    sign = np.sign(scores[:, None] - scores[None, :])
+    with np.errstate(invalid="ignore"):
+        return float((matrix * sign).sum() / matrix.sum())
 
 
 def replay_state(cfg: SimConfig, rep: int, steps: int) -> MarketState:
@@ -58,6 +76,8 @@ class TestSimConfig:
             SimConfig(design=FLAT, steps=5, matching="quadratic")
         with pytest.raises(ValueError, match="metric"):
             SimConfig(design=FLAT, steps=5, metrics=("kendall", "pearson"))
+        with pytest.raises(ValueError, match="metric"):
+            SimConfig(design=FLAT, steps=5, metrics=("custom",))
         with pytest.raises(ValueError, match="metric"):
             SimConfig(design=FLAT, steps=5, metrics=())
 
@@ -99,6 +119,12 @@ class TestSimConfig:
 
     def test_design_must_return_probabilities(self):
         cfg = SimConfig(design=lambda th: np.asarray(th) + 1.0, steps=5)
+        with pytest.raises(ValueError, match="within"):
+            cfg.design_probability(np.array([0.2, 0.8]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_design_must_return_finite_probabilities(self, bad):
+        cfg = SimConfig(design=lambda th: np.where(np.asarray(th) > 0.5, bad, 0.5), steps=5)
         with pytest.raises(ValueError, match="within"):
             cfg.design_probability(np.array([0.2, 0.8]))
 
@@ -218,6 +244,70 @@ class TestEmpiricalObjective:
         with pytest.raises(ValueError, match="two items"):
             empirical_objective(state, normalize_weight("kendall"))
 
+    def test_rejects_custom_weight(self):
+        state = self.state_with([0.1, 0.4, 0.9], [1, 5, 8], [5, 10, 10])
+        w = normalize_weight("custom", raw=lambda a, b: (a - b) * (1 + a * b))
+        with pytest.raises(ValueError, match="separable"):
+            empirical_objective(state, w)
+
+    @pytest.mark.parametrize("kind", NAMED)
+    def test_factors_reproduce_raw_weight(self, kind):
+        w = normalize_weight(kind)
+        a = np.linspace(0.0, 1.0, 41)
+        b = np.concatenate([np.linspace(0.0, 1.0, 37), [0.5, 1e-9, 1 - 1e-9]])
+        F, _ = w.factors(a)
+        _, G = w.factors(b)
+        assert F.shape == (1 if kind == "kendall" else 2, a.size)
+        assert G.shape == (F.shape[0], b.size)
+        product = (F[:, :, None] * G[:, None, :]).sum(axis=0)
+        raw = np.asarray(w.raw(a[:, None], b[None, :]), dtype=float)
+        assert np.abs(product - raw).max() <= 1e-15
+
+    @staticmethod
+    @st.composite
+    def markets(draw):
+        # few distinct qualities force quality ties, few ratings per item
+        # force score ties, and zero totals leave items unrated
+        n = draw(st.integers(min_value=2, max_value=200))
+        distinct = draw(st.integers(min_value=1, max_value=n))
+        pool = draw(st.lists(st.floats(0.0, 1.0), min_size=distinct, max_size=distinct))
+        picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        totals = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        positives = [draw(st.integers(0, t)) for t in totals]
+        return np.asarray(pool)[picks], positives, totals
+
+    @given(market=markets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, market):
+        state = self.state_with(*market)
+        for kind in NAMED:
+            w = normalize_weight(kind)
+            got = empirical_objective(state, w)
+            expect = dense_objective(state.theta, state.scores(), w)
+            if math.isnan(expect):
+                # no pair of distinct qualities carries weight
+                assert math.isnan(got)
+            elif kind == "kendall":
+                assert got == expect
+            else:
+                assert abs(got - expect) <= 1e-12
+
+    def test_large_market_memory_stays_linear(self):
+        # a dense float64 matrix at this size alone is 3.2 GB
+        n = 20_000
+        rng = np.random.default_rng(4)
+        totals = rng.integers(0, 30, n)
+        state = self.state_with(rng.random(n), rng.binomial(totals, 0.5), totals)
+        w = normalize_weight("extremes")
+        tracemalloc.start()
+        try:
+            value = empirical_objective(state, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert -1.0 <= value <= 1.0
+        assert peak <= 16 * 2**20
+
 
 class TestRunSimulation:
     def test_rows_cover_schedule_and_metrics(self):
@@ -258,6 +348,16 @@ class TestRunSimulation:
         expect = empirical_objective(state, normalize_weight("kendall"))
         assert res.values("kendall", 40)[0] == expect
 
+    def test_every_metric_matches_replay(self):
+        # all metrics share one kernel pass per record, and each recorded
+        # value still equals a lone replay of its own metric bit for bit
+        cfg = SimConfig(design=SPLIT, steps=30, n_items=40, n_buyers=15, seed=21,
+                        death_prob=0.05, metrics=NAMED, record_at=(30,))
+        res = run_simulation(cfg)
+        state = replay_state(cfg, 0, 30)
+        for kind in NAMED:
+            assert res.values(kind, 30)[0] == empirical_objective(state, normalize_weight(kind))
+
     def test_flat_design_carries_no_signal(self):
         # constant rating probability: scores are independent of quality,
         # so the rank agreement straddles zero
@@ -278,11 +378,10 @@ class TestRunSimulation:
         diffs = []
         for rep in range(cfg.replicates):
             state = replay_state(cfg, rep, 0)
-            pair = _PairWeights(w)
-            pair.rebuild(state.theta)
+            matrix = dense_pair_weights(w, state.theta)
             levels = np.asarray(res.beta(state.theta))
             split = levels[:, None] != levels[None, :]
-            plateau = float((pair.matrix * split).sum() / pair.denominator)
+            plateau = float((matrix * split).sum() / matrix.sum())
             diffs.append(float(sim.values("kendall", 1500)[rep]) - plateau)
         d = np.asarray(diffs)
         se = d.std(ddof=1) / math.sqrt(len(d))
