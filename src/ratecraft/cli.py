@@ -333,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", choices=_MATCHING, default="uniform", help="matching profile")
     p.add_argument("--w", choices=_NAMED_WEIGHTS, default="kendall", help="pair weight")
     p.add_argument("--grid", type=int, default=1000, help="breakpoint search grid")
-    p.add_argument("--tol", type=float, default=1e-13, help="level bisection width")
+    p.add_argument("--tol", type=float, default=1e-13, help="stop when no angle step exceeds this")
     p.add_argument(
         "--residual-tol", type=float, default=1e-9, help="allowed rate spread"
     )
-    p.add_argument("--max-outer", type=int, default=200, help="outer iteration cap")
-    p.add_argument("--max-inner", type=int, default=200, help="inner iteration cap")
+    p.add_argument("--max-outer", type=int, default=200, help="Newton iteration cap")
+    p.add_argument("--max-inner", type=int, default=200, help="step halving cap")
     p.add_argument("--out", required=True, help="design JSON to write")
     p.set_defaults(func=_cmd_optimize_beta)
 

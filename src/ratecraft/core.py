@@ -156,10 +156,6 @@ class MatchProfile:
     def is_constant(self) -> bool:
         return all(v == self.values[0] for v in self.values)
 
-    @property
-    def is_nondecreasing(self) -> bool:
-        return all(b >= a for a, b in zip(self.values, self.values[1:]))
-
     @staticmethod
     def uniform(M: int) -> "MatchProfile":
         """Constant intensity 1 on every interval."""
@@ -434,6 +430,11 @@ class QuestionBank:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"question bank line {reader.line_num} has {len(row)} "
+                    f"fields, the header has {len(header)}"
+                )
             theta = float(row[0])
             q = row[1]
             if theta not in thetas:

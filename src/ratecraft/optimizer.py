@@ -2,11 +2,12 @@
 
 The overall error exponent of a design is the minimum over adjacent level
 pairs, so at the optimum every adjacent pair decays at the same rate.  The
-solver pins the outer levels at 0 and 1, bisects on the topmost interior
-level, and for each candidate chains downward: the top pair fixes a target
-rate, and each next-lower level is found by a one-dimensional bisection
-against that target.  The sign of the mismatch at the bottom pair then
-steers the outer bisection.
+solver pins the outer levels at 0 and 1 and writes every level as
+``t = sin(phi)^2``.  With equal matching on both sides, a pair's bracket
+is the Bhattacharyya coefficient ``cos(phi_b - phi_a)``, so equal angle
+steps are exact for constant matching.  For any other matching they are
+the start of one damped Newton solve for all interior angles at once,
+whose tridiagonal Jacobian makes each step a single banded solve.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+from scipy.linalg import solve_banded
+
 from .core import MatchProfile, StepBeta, make_step_beta
 from .partition import Partition, equispaced_partition
-from .rates import adjacent_rates, overall_rate
+from .rates import adjacent_rates, pair_rates
 
 __all__ = [
     "SolverConfig",
@@ -39,9 +43,12 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     """Solver tolerances.
 
-    tol is the bisection width target on level values.  residual_tol is
-    the allowed spread among adjacent pair rates in a solved design,
-    measured relative to max(1, achieved rate).
+    tol bounds the largest angle step of the last Newton iteration.
+    max_outer caps the Newton iterations and max_inner the step halvings
+    that keep the levels strictly increasing within one iteration.
+    residual_tol is the allowed spread among adjacent pair rates in a
+    solved design, measured relative to max(1, achieved rate).
+    use_last_level_bound is accepted for compatibility and has no effect.
     """
 
     tol: float = 1e-13
@@ -59,70 +66,26 @@ class SolverConfig:
             raise ValueError("iteration caps must be positive")
 
 
-def _pair_rate(a: float, b: float, ga: float, gb: float) -> float:
-    # closed-form pair exponent without validation; hot path of the solver
-    if a == b:
-        return 0.0
-    if a == 0.0:
-        if b == 1.0:
-            return math.inf
-        return -gb * math.log1p(-b)
-    if b == 1.0:
-        return -ga * math.log(a)
-    tot = ga + gb
-    wa = ga / tot
-    wb = gb / tot
-    return -tot * math.log((1.0 - a) ** wa * (1.0 - b) ** wb + a**wa * b**wb)
-
-
-def _bisect_next_level(
-    upper: float,
-    target: float,
-    g_lo: float,
-    g_hi: float,
-    floor: float,
-    cfg: SolverConfig,
-) -> float:
-    """Largest level below ``upper`` whose pair rate meets ``target``.
-
-    The pair rate decreases as the lower level rises toward ``upper``, so
-    bisection keeps the invariant rate(right) <= target <= rate(left) and
-    returns the right endpoint.  When even the floor cannot reach the
-    target the result collapses to the floor, which the outer loop reads
-    as a too-small bottom rate.
+def _log_rate_slopes(
+    t: np.ndarray, c: np.ndarray, phi: np.ndarray, g: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes of each pair's log exponent in its upper angle (pairs 0..n-1)
+    and in its lower angle (pairs 1..n), from all levels ``t``, their
+    complements ``c``, the interior angles and the exponents ``r``.  The
+    exponent is ``-(ga + gb) log(P + Q)`` with ``P = a^wa b^wb`` and
+    ``Q = (1-a)^wa (1-b)^wb``, and ``dt/dphi = sin(2 phi)``.
     """
-    lo = floor
-    hi = upper - cfg.tol
-    if hi <= lo:
-        return lo
-    for _ in range(cfg.max_inner):
-        if hi - lo <= cfg.tol / 2.0:
-            return hi
-        mid = 0.5 * (lo + hi)
-        if _pair_rate(mid, upper, g_lo, g_hi) <= target:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError("inner level bisection hit its iteration cap")
-
-
-def _chain_down(
-    top: float,
-    count: int,
-    g: Sequence[float],
-    floor: float,
-    target: float,
-    cfg: SolverConfig,
-) -> list[float]:
-    """Levels t_1..t_count (bottom to top) with t_count = top and every
-    pair (t_m, t_{m+1}) bisected to the target rate."""
-    levels = [0.0] * count
-    levels[count - 1] = top
-    for m in range(count - 1, 0, -1):
-        levels[m - 1] = _bisect_next_level(
-            levels[m], target, g[m], g[m + 1], floor, cfg
-        )
-    return levels
+    ga, gb = g[:-1], g[1:]
+    wa = ga / (ga + gb)
+    wb = 1.0 - wa
+    P = t[:-1] ** wa * t[1:] ** wb
+    Q = c[:-1] ** wa * c[1:] ** wb
+    scale = -2.0 / ((P + Q) * r)
+    cot = np.cos(phi) / np.sin(phi)
+    tan = 1.0 / cot
+    upper = scale[:-1] * gb[:-1] * (P[:-1] * cot - Q[:-1] * tan)
+    lower = scale[1:] * ga[1:] * (P[1:] * cot - Q[1:] * tan)
+    return upper, lower
 
 
 def equalize_chain(
@@ -131,9 +94,15 @@ def equalize_chain(
     count: int,
     g: Sequence[float] | MatchProfile,
     cfg: SolverConfig | None = None,
-    lower_start: float | None = None,
 ) -> list[float]:
     """Interior levels between two pinned ones with all pair rates equal.
+
+    One damped Newton solve for the angles of ``t = sin(phi)^2``, started
+    from equal angle steps, which are the answer for constant matching.
+    Each step is halved, at most ``cfg.max_inner`` times, until the levels
+    stay strictly increasing.  The solve stops when no angle step exceeds
+    ``cfg.tol`` and raises :class:`ConvergenceError` once it would take
+    more than ``cfg.max_outer`` steps.
 
     Parameters
     ----------
@@ -144,16 +113,12 @@ def equalize_chain(
     g : sequence of float
         Matching intensity per level, bottom to top; ``count + 2``
         entries aligned with ``[lo, t_1, ..., t_count, hi]``.
-    lower_start : float, optional
-        Known lower bound for the topmost interior level, used to shrink
-        the outer bisection bracket.
 
     Returns
     -------
     list of float
         ``[t_1, ..., t_count]``, strictly between lo and hi, with all
-        ``count + 1`` adjacent pair rates equal up to the tolerance the
-        bisection width implies.
+        ``count + 1`` adjacent pair rates equal up to rounding.
     """
     cfg = cfg or SolverConfig()
     if not 0.0 <= lo < hi <= 1.0:
@@ -166,34 +131,43 @@ def equalize_chain(
     if any(x <= 0.0 for x in gv):
         raise ValueError("matching intensities must be positive")
 
-    outer_lo = lo + cfg.tol if lower_start is None else max(lower_start, lo + cfg.tol)
-    outer_hi = hi - cfg.tol
-    if outer_lo >= outer_hi:
-        raise ValueError("interval too narrow for the requested tolerance")
+    gw = np.array(gv)
+    edges = np.arcsin(np.sqrt([lo, hi]))
+    phi = np.linspace(edges[0], edges[1], count + 2)[1:-1]
 
-    def chain_at(x: float) -> tuple[list[float], float]:
-        target = _pair_rate(x, hi, gv[count], gv[count + 1])
-        levels = _chain_down(x, count, gv, lo, target, cfg)
-        return levels, target
+    def chain(angles: np.ndarray):
+        # levels, their complements and pair differences, all from angles
+        # so that none loses digits near 0 or 1
+        sin2 = np.sin(angles) ** 2
+        psi = np.concatenate((edges[:1], angles, edges[1:]))
+        t = np.concatenate(([lo], sin2, [hi]))
+        c = np.concatenate(([1.0 - lo], np.cos(angles) ** 2, [1.0 - hi]))
+        d = np.sin(np.diff(psi)) * np.sin(psi[1:] + psi[:-1])
+        ok = bool(np.all(np.diff(psi) > 0.0) and np.all(np.diff(t) > 0.0))
+        return t, c, d, ok
 
-    u, ell = outer_hi, outer_lo
-    for _ in range(cfg.max_outer):
-        if u - ell <= cfg.tol / 2.0:
-            break
-        x = 0.5 * (u + ell)
-        levels, target = chain_at(x)
-        bottom = _pair_rate(lo, levels[0], gv[0], gv[1]) if levels[0] > lo else 0.0
-        if bottom < target:
-            ell = x
+    t, c, d, _ = chain(phi)
+    for iteration in range(cfg.max_outer + 1):
+        r = pair_rates(t[:-1], t[1:], gw[:-1], gw[1:], c[:-1], c[1:], d)
+        log_r = np.log(r)
+        upper, lower = _log_rate_slopes(t, c, phi, gw, r)
+        bands = np.zeros((3, count))
+        bands[0, 1:] = -upper[1:]
+        bands[1] = upper - lower
+        bands[2, :-1] = lower[:-1]
+        step = solve_banded((1, 1), bands, log_r[1:] - log_r[:-1])
+        if np.max(np.abs(step)) <= cfg.tol:
+            return t[1:-1].tolist()
+        if iteration == cfg.max_outer:
+            raise ConvergenceError("Newton level solve hit its iteration cap")
+        for _ in range(cfg.max_inner):
+            t_new, c_new, d_new, ok = chain(phi + step)
+            if ok:
+                break
+            step = 0.5 * step
         else:
-            u = x
-    else:
-        raise ConvergenceError("outer level bisection hit its iteration cap")
-
-    levels, _ = chain_at(u)
-    if levels[0] <= lo:
-        raise ConvergenceError("chain collapsed onto its lower bound")
-    return levels
+            raise ConvergenceError("Newton step could not keep the levels increasing")
+        phi, t, c, d = phi + step, t_new, c_new, d_new
 
 
 @dataclass(frozen=True)
@@ -216,9 +190,9 @@ def nested_bisection(
     """Optimal rating levels for M intervals.
 
     The outer levels are 0 and 1; the M - 2 interior levels are solved by
-    :func:`equalize_chain`.  For a nondecreasing matching profile the
-    topmost interior level is known to lie above 1 - 1/(M - 1), which
-    shrinks the outer bracket (disable via ``cfg.use_last_level_bound``).
+    :func:`equalize_chain`, one Newton solve in angle space.  Under
+    constant matching the levels are ``sin(pi k / (2 (M - 1)))^2`` and the
+    exponent is ``-2 log cos(pi / (2 (M - 1)))``.
 
     ``breakpoints`` only decorate the returned step function; they do not
     enter the level computation.  M = 2 is degenerate: the two levels are
@@ -246,11 +220,7 @@ def nested_bisection(
         beta = make_step_beta(s, (0.0, 1.0))
         return SolverResult(beta, g, math.inf, 0.0, degenerate=True)
 
-    lower = 1.0 - 1.0 / (M - 1)
-    use_bound = cfg.use_last_level_bound and g.is_nondecreasing
-    interior = equalize_chain(
-        0.0, 1.0, M - 2, g.values, cfg, lower_start=lower if use_bound else None
-    )
+    interior = equalize_chain(0.0, 1.0, M - 2, g.values, cfg)
     levels = (0.0, *interior, 1.0)
     rates = adjacent_rates(levels, g)
     rate = min(rates)
@@ -264,11 +234,11 @@ def double_levels(
 ) -> StepBeta:
     """Map an M-level solved design to the 2M - 1 level one, closed form.
 
-    Under constant matching intensity the optimal levels for 2M - 1
-    intervals interleave the M-interval ones exactly: even positions copy
-    the old levels, the outermost new levels are square-root reflections
-    of their neighbors, and every other interior level is the equal-rate
-    point of its two (already known) neighbors.  Valid only for constant
+    Under constant matching intensity equal rates mean equal steps in
+    the angle ``phi`` of ``t = sin(phi)^2``, so the optimal levels for
+    2M - 1 intervals interleave the M-interval ones: even positions copy
+    the old levels bit for bit, and each new level is
+    ``sin((phi_i + phi_{i+1}) / 2)^2``.  Valid only for constant
     matching; the interleaving fails otherwise.
 
     The returned step function sits on equispaced breakpoints.
@@ -284,20 +254,11 @@ def double_levels(
     if any(b <= a for a, b in zip(t, t[1:])):
         raise ValueError("levels must be strictly increasing")
 
-    out = [0.0] * (2 * M - 1)
-    for i, v in enumerate(t):
-        out[2 * i] = v
-    out[1] = 0.5 * (1.0 - math.sqrt(1.0 - t[1]))
-    out[2 * M - 3] = 0.5 * (1.0 + math.sqrt(t[M - 2]))
-    for k in range(3, 2 * M - 4, 2):
-        t_lo = out[k - 1]
-        t_hi = out[k + 1]
-        ratio = (math.sqrt(1.0 - t_lo) - math.sqrt(1.0 - t_hi)) / (
-            math.sqrt(t_hi) - math.sqrt(t_lo)
-        )
-        c = ratio * ratio
-        out[k] = c / (1.0 + c)
-    return make_step_beta(equispaced_partition(2 * M - 1).s, out)
+    phi = np.arcsin(np.sqrt(t))
+    out = np.empty(2 * M - 1)
+    out[0::2] = t
+    out[1::2] = np.sin(0.5 * (phi[:-1] + phi[1:])) ** 2
+    return make_step_beta(equispaced_partition(2 * M - 1).s, out.tolist())
 
 
 @dataclass(frozen=True)

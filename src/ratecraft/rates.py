@@ -20,6 +20,7 @@ from .core import MatchProfile, StepBeta
 __all__ = [
     "kl_bernoulli",
     "inf_point",
+    "pair_rates",
     "pairwise_rate",
     "numeric_pairwise_rate",
     "adjacent_rates",
@@ -64,6 +65,15 @@ def kl_bernoulli(a: float, t: float) -> float:
     return out
 
 
+def _kl_grid(a: np.ndarray, t: float) -> np.ndarray:
+    """:func:`kl_bernoulli` over an array of ``a``, same conventions; the
+    scalar form stays pure Python because it is called once per point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0.0, a * np.log(a / t), 0.0) + np.where(
+            a < 1.0, (1.0 - a) * np.log((1.0 - a) / (1.0 - t)), 0.0
+        )
+
+
 def inf_point(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     """Score value at which the weighted KL objective is smallest.
 
@@ -96,6 +106,93 @@ def inf_point(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     return c / (1.0 + c)
 
 
+def _log_excess(ratio: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``log(ratio) - v`` where ``ratio = 1 + v``, without cancellation.
+
+    Near 0 it sums ``-v s + 2 s^3 (1/3 + s^2/5 + ...)`` with
+    ``s = v / (2 + v)``, from ``log1p(v) = 2 atanh(s)``, cut where the tail
+    is below 1e-16.  Elsewhere ``ratio`` is used as given, which keeps it
+    exact near 0.
+    """
+    s = v / (2.0 + v)
+    s2 = s * s
+    out = -v * s + 2.0 * s * s2 * (
+        1 / 3 + s2 * (1 / 5 + s2 * (1 / 7 + s2 * (1 / 9 + s2 / 11)))
+    )
+    far = np.abs(v) >= 0.05
+    out[far] = np.log(ratio[far]) - v[far]
+    return out
+
+
+def _amgm_gap(x, y, d, wa, wb) -> np.ndarray:
+    """Weighted AM minus GM of ``x`` and ``y = x + d``, in relative terms.
+
+    With ``A = wa x + wb y`` and ``u = d / A`` the ratio GM/AM is
+    ``exp(wa log(x/A) + wb log(y/A))`` where ``x/A = 1 - wb u`` and
+    ``y/A = 1 + wa u``.  The first-order terms of the two logarithms
+    cancel exactly, so the exponent is summed from parts of one sign.
+    """
+    A = wa * x + wb * y
+    u = d / A
+    return -A * np.expm1(
+        wa * _log_excess(x / A, -wb * u) + wb * _log_excess(y / A, wa * u)
+    )
+
+
+_BLOCK = 2048  # pairs per kernel pass: temporaries stay small at any M
+
+
+def _block_rates(a, b, ca, cb, d, ga, gb) -> np.ndarray:
+    total = ga + gb
+    wa = ga / total
+    wb = gb / total
+    gap = _amgm_gap(ca, cb, -d, wa, wb) + _amgm_gap(a, b, d, wa, wb)
+    out = -total * np.log1p(-gap)
+    # far apart, B is small and its direct sum loses nothing
+    i = gap > 0.5
+    out[i] = -total[i] * np.log(
+        ca[i] ** wa[i] * cb[i] ** wb[i] + a[i] ** wa[i] * b[i] ** wb[i]
+    )
+    # one-sided forms, each from whichever of t and 1 - t is nearer 0
+    i = a == 0.0
+    out[i] = -gb[i] * np.where(b[i] < 0.5, np.log1p(-b[i]), np.log(cb[i]))
+    i = b == 1.0
+    out[i] = -ga[i] * np.where(a[i] < 0.5, np.log(a[i]), np.log1p(-ca[i]))
+    out[(a == 0.0) & (b == 1.0)] = np.inf
+    out[d == 0.0] = 0.0
+    return out
+
+
+def pair_rates(t_lo, t_hi, g_lo, g_hi, c_lo=None, c_hi=None, d=None) -> np.ndarray:
+    """Pair exponents of arrays of level pairs, without validation.
+
+    The exponent is ``-(g_lo + g_hi) log B``, ``B`` the sum of the weighted
+    geometric means of the failure and the success probabilities.  ``1 - B``
+    is summed as two weighted AM-GM gaps computed from ``d = t_hi - t_lo``,
+    so the exponent keeps its relative accuracy however close the levels
+    are; a small ``B`` is summed directly, and pairs touching 0 or 1 take
+    their one-sided forms.  ``c_lo = 1 - t_lo``, ``c_hi = 1 - t_hi`` and
+    ``d`` may be passed, as arrays of the broadcast shape, by a caller that
+    knows them more accurately than the subtraction (the level solver).
+    Callers guarantee ``0 <= t_lo <= t_hi <= 1`` and positive intensities.
+    The result has at least one dimension.
+    """
+    a, b, ga, gb = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (t_lo, t_hi, g_lo, g_hi))
+    )
+    ca = 1.0 - a if c_lo is None else c_lo
+    cb = 1.0 - b if c_hi is None else c_hi
+    d = b - a if d is None else d
+    out = np.empty(a.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(0, len(out), _BLOCK):
+            part = slice(k, k + _BLOCK)
+            out[part] = _block_rates(
+                a[part], b[part], ca[part], cb[part], d[part], ga[part], gb[part]
+            )
+    return out
+
+
 def pairwise_rate(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     """Error exponent for an adjacent pair of rating levels.
 
@@ -119,7 +216,8 @@ def pairwise_rate(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     of the weighted geometric means of the failure and success
     probabilities.  Levels on the boundary reduce to one-sided forms:
     ``-g_hi log(1 - t_hi)`` when ``t_lo == 0`` and ``-g_lo log(t_lo)``
-    when ``t_hi == 1``.
+    when ``t_hi == 1``.  This validates its arguments and evaluates
+    :func:`pair_rates`.
     """
     t_lo = _check_prob("t_lo", t_lo)
     t_hi = _check_prob("t_hi", t_hi)
@@ -127,19 +225,7 @@ def pairwise_rate(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     g_hi = _check_weight("g_hi", g_hi)
     if t_lo > t_hi:
         raise ValueError("t_lo must not exceed t_hi")
-    if t_lo == t_hi:
-        return 0.0
-    if t_lo == 0.0 and t_hi == 1.0:
-        return math.inf
-    total = g_lo + g_hi
-    if t_lo == 0.0:
-        return -g_hi * math.log1p(-t_hi)
-    if t_hi == 1.0:
-        return -g_lo * math.log(t_lo)
-    w_lo = g_lo / total
-    w_hi = g_hi / total
-    bracket = (1.0 - t_lo) ** w_lo * (1.0 - t_hi) ** w_hi + t_lo**w_lo * t_hi**w_hi
-    return -total * math.log(bracket)
+    return float(pair_rates(t_lo, t_hi, g_lo, g_hi)[0])
 
 
 def numeric_pairwise_rate(
@@ -166,16 +252,10 @@ def numeric_pairwise_rate(
         raise ValueError("grid must be at least 2")
 
     def objective(a: float) -> float:
-        lo = kl_bernoulli(a, t_lo)
-        if math.isinf(lo):
-            return math.inf
-        hi = kl_bernoulli(a, t_hi)
-        if math.isinf(hi):
-            return math.inf
-        return g_lo * lo + g_hi * hi
+        return g_lo * kl_bernoulli(a, t_lo) + g_hi * kl_bernoulli(a, t_hi)
 
     points = np.linspace(0.0, 1.0, grid + 1)
-    values = [objective(float(a)) for a in points]
+    values = g_lo * _kl_grid(points, t_lo) + g_hi * _kl_grid(points, t_hi)
     best = int(np.argmin(values))
     if math.isinf(values[best]):
         return math.inf
@@ -211,6 +291,12 @@ def _levels_and_g(
         )
     if len(levels) < 2:
         raise ValueError("need at least two levels")
+    t = np.array(levels)
+    if not np.all((t >= 0.0) & (t <= 1.0)) or np.any(t[1:] < t[:-1]):
+        raise ValueError("levels must be nondecreasing within [0, 1]")
+    w = np.array(weights)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("matching intensities must be positive and finite")
     return levels, weights
 
 
@@ -219,10 +305,7 @@ def adjacent_rates(
 ) -> list[float]:
     """Exponent of every adjacent level pair, bottom to top."""
     levels, weights = _levels_and_g(beta, g)
-    return [
-        pairwise_rate(levels[i], levels[i + 1], weights[i], weights[i + 1])
-        for i in range(len(levels) - 1)
-    ]
+    return pair_rates(levels[:-1], levels[1:], weights[:-1], weights[1:]).tolist()
 
 
 def overall_rate(
@@ -254,11 +337,11 @@ def pair_report(
 ) -> list[PairRate]:
     """Per-pair breakdown used by diagnostics and the command line."""
     levels, weights = _levels_and_g(beta, g)
+    rates = adjacent_rates(levels, weights)
     out = []
-    for i in range(len(levels) - 1):
+    for i, rate in enumerate(rates):
         t_lo, t_hi = levels[i], levels[i + 1]
         g_lo, g_hi = weights[i], weights[i + 1]
-        rate = pairwise_rate(t_lo, t_hi, g_lo, g_hi)
         if t_lo == 0.0 and t_hi == 1.0:
             a_star = None
         else:

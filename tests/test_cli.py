@@ -87,8 +87,8 @@ class TestOptimizeBeta:
 
     def test_iteration_cap_is_solver_failure(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "optimize-beta", "--M", "40", "--max-outer", "3",
-            "--out", str(tmp_path / "d.json"),
+            capsys, "optimize-beta", "--M", "40", "--g", "linear",
+            "--max-outer", "1", "--out", str(tmp_path / "d.json"),
         )
         assert code == 2
         assert "solver failed" in err
@@ -271,6 +271,24 @@ class TestFitH:
         )
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("row", ["0.5,grade_1", "0.5,q,0.5,7"])
+    def test_wrong_field_count_is_input_error(self, tmp_path, quartile_beta,
+                                              row, capsys):
+        target = tmp_path / "target.json"
+        save_design(target, quartile_beta, MatchProfile.uniform(4), "kendall")
+        psi = tmp_path / "psi.csv"
+        psi.write_text(f"theta,question,psi\n0.25,q,0.2\n{row}\n0.75,q,0.9\n")
+        out = tmp_path / "h.json"
+        code, _, err = run(
+            capsys, "fit-h", "--beta", str(target), "--psi", str(psi),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 3" in err
         assert not out.exists()
 
 

@@ -120,7 +120,6 @@ class TestMatchProfile:
         g = MatchProfile.uniform(5)
         assert g.values == (1.0,) * 5
         assert g.is_constant
-        assert g.is_nondecreasing
 
     def test_linear_samples_left_endpoints(self):
         s = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -128,7 +127,6 @@ class TestMatchProfile:
         expected = tuple((1 + 10 * a) / 11 for a in s[:-1])
         assert g.values == pytest.approx(expected, abs=0)
         assert not g.is_constant
-        assert g.is_nondecreasing
 
     def test_from_table(self):
         g = MatchProfile.from_table((0.5, 1.0, 2.0))

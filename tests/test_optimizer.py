@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratecraft.core import MatchProfile
 from ratecraft.optimizer import (
@@ -25,6 +27,59 @@ def closed_form_middle_of(lo, hi):
     )
     c = ratio * ratio
     return c / (1.0 + c)
+
+
+def closed_pair_rate(a, b, ga, gb):
+    """Pair exponent written out from its closed form, independently of
+    the package's kernel."""
+    if a == 0.0:
+        return -gb * math.log1p(-b)
+    if b == 1.0:
+        return -ga * math.log(a)
+    wa, wb = ga / (ga + gb), gb / (ga + gb)
+    return -(ga + gb) * math.log((1 - a) ** wa * (1 - b) ** wb + a**wa * b**wb)
+
+
+def bisection_levels(g, tol=1e-13, cap=200):
+    """Levels for matching ``g`` by nested bisection, a reference that
+    shares no code with the Newton solve.
+
+    An outer bisection on the topmost interior level sets the target rate
+    of the top pair; each lower level is then bisected to meet it, and
+    the sign of the bottom pair's mismatch steers the outer bracket.
+    """
+    count = len(g) - 2
+
+    def next_level(upper, target, g_lo, g_hi):
+        lo, hi = 0.0, upper - tol
+        for _ in range(cap):
+            if hi - lo <= tol / 2:
+                return hi
+            mid = 0.5 * (lo + hi)
+            if closed_pair_rate(mid, upper, g_lo, g_hi) <= target:
+                hi = mid
+            else:
+                lo = mid
+        raise AssertionError("inner bisection did not converge")
+
+    def chain_down(top):
+        target = closed_pair_rate(top, 1.0, g[count], g[count + 1])
+        levels = [top]
+        for m in range(count - 1, 0, -1):
+            levels.insert(0, next_level(levels[0], target, g[m], g[m + 1]))
+        return levels, target
+
+    ell, u = tol, 1.0 - tol
+    for _ in range(cap):
+        if u - ell <= tol / 2:
+            break
+        x = 0.5 * (ell + u)
+        levels, target = chain_down(x)
+        if closed_pair_rate(0.0, levels[0], g[0], g[1]) < target:
+            ell = x
+        else:
+            u = x
+    return [0.0, *chain_down(u)[0], 1.0]
 
 
 class TestEqualizeChain:
@@ -56,8 +111,44 @@ class TestEqualizeChain:
     def test_iteration_cap_raises(self):
         with pytest.raises(ConvergenceError):
             equalize_chain(
-                0.05, 0.95, 3, (1.0,) * 5, SolverConfig(max_outer=2)
+                0.05, 0.95, 3, (1.0, 2.0, 3.0, 4.0, 5.0), SolverConfig(max_outer=1)
             )
+
+    def test_constant_matching_needs_no_iteration(self):
+        levels = equalize_chain(0.05, 0.95, 3, (2.0,) * 5, SolverConfig(max_outer=1))
+        lo, hi = math.asin(math.sqrt(0.05)), math.asin(math.sqrt(0.95))
+        expected = [math.sin(lo + k * (hi - lo) / 4) ** 2 for k in (1, 2, 3)]
+        assert levels == pytest.approx(expected, abs=1e-15)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("M", (200, 1600, 10_000))
+    def test_constant_matching_is_equal_angle_steps(self, M):
+        result = nested_bisection(M)
+        expected = np.sin(np.pi * np.arange(M) / (2 * (M - 1))) ** 2
+        assert np.abs(np.array(result.beta.t) - expected).max() <= 1e-15
+        # -2 log cos x, written without the cancellation of log near 1
+        x = math.pi / (2 * (M - 1))
+        exact = -2.0 * math.log1p(-2.0 * math.sin(x / 2) ** 2)
+        # levels near 1 are stored to an absolute 2^-53, which alone moves
+        # the top pairs' exponents by a relative 2^-52 / exact at most
+        assert result.rate == pytest.approx(exact, rel=1e-12 + 2.0**-52 / exact)
+
+
+class TestRandomProfiles:
+    @given(
+        st.integers(3, 40).flatmap(
+            lambda M: st.lists(st.floats(1.0, 10.0), min_size=M, max_size=M)
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equalizes_and_matches_bisection(self, g):
+        result = nested_bisection(len(g), MatchProfile.from_table(g))
+        t = np.array(result.beta.t)
+        assert np.all(np.diff(t) > 0.0)
+        rates = adjacent_rates(result.beta, result.g)
+        assert (max(rates) - min(rates)) / min(rates) <= 1e-10
+        assert np.abs(t - bisection_levels(g)).max() <= 1e-9
 
 
 class TestNestedBisection:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from ratecraft.rates import (
     kl_bernoulli,
     numeric_pairwise_rate,
     overall_rate,
+    pair_rates,
     pair_report,
     pairwise_rate,
 )
@@ -191,7 +193,69 @@ class TestDesignRates:
         (pair,) = pair_report(beta, MatchProfile.uniform(2))
         assert 0.2 < pair.a_star < 0.9
 
+    @pytest.mark.parametrize(
+        "levels,weights",
+        [
+            ((0.0, float("nan"), 1.0), (1.0, 1.0, 1.0)),
+            ((0.0, 0.7, 0.4, 1.0), (1.0, 1.0, 1.0, 1.0)),
+            ((-0.1, 0.5, 1.0), (1.0, 1.0, 1.0)),
+            ((0.0, 0.5, 1.0), (1.0, 0.0, 1.0)),
+            ((0.0, 0.5, 1.0), (1.0, float("inf"), 1.0)),
+        ],
+    )
+    def test_rejects_invalid_levels_and_intensities(self, levels, weights):
+        with pytest.raises(ValueError):
+            adjacent_rates(levels, weights)
+        with pytest.raises(ValueError):
+            pair_report(levels, weights)
+
     def test_accepts_plain_sequences(self):
         assert overall_rate((0.0, 0.5, 1.0), (1.0, 1.0, 1.0)) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
+
+
+def reference_rate(t_lo, t_hi, g_lo, g_hi):
+    """The pair exponent at 50 significant digits."""
+    with mpmath.workdps(50):
+        a, b, ga, gb = (mpmath.mpf(x) for x in (t_lo, t_hi, g_lo, g_hi))
+        wa, wb = ga / (ga + gb), gb / (ga + gb)
+        bracket = (1 - a) ** wa * (1 - b) ** wb + a**wa * b**wb
+        return float(-(ga + gb) * mpmath.log(bracket))
+
+
+class TestKernelAccuracy:
+    @pytest.mark.parametrize("g_lo,g_hi", [(1.0, 1.0), (1.0, 3.0), (0.2, 5.0), (7.0, 0.3)])
+    @pytest.mark.parametrize("t", [1e-9, 1e-3, 0.3, 0.5, 0.7, 1.0 - 1e-3])
+    def test_relative_error_against_fifty_digits(self, t, g_lo, g_hi):
+        for delta in (1e-1, 1e-3, 1e-6, 1e-9, 1e-12):
+            t_hi = t + delta
+            if t_hi >= 1.0:
+                continue
+            expected = reference_rate(t, t_hi, g_lo, g_hi)
+            got = pairwise_rate(t, t_hi, g_lo, g_hi)
+            assert abs(got - expected) <= 1e-12 * expected, (delta, got, expected)
+
+    def test_boundary_pairs_against_fifty_digits(self):
+        for t in (1e-12, 1e-3, 0.5, 1.0 - 1e-9):
+            assert pairwise_rate(0.0, t, 1.0, 2.0) == pytest.approx(
+                reference_rate(0.0, t, 1.0, 2.0), rel=1e-14
+            )
+            assert pairwise_rate(t, 1.0, 2.0, 1.0) == pytest.approx(
+                reference_rate(t, 1.0, 2.0, 1.0), rel=1e-14
+            )
+
+    @pytest.mark.parametrize("g_lo,g_hi", [(1.0, 1.0), (0.2, 5.0)])
+    def test_far_apart_pairs_against_fifty_digits(self, g_lo, g_hi):
+        for t_lo, t_hi in ((1e-12, 1.0 - 1e-12), (1e-200, 0.5), (1e-3, 0.999)):
+            assert pairwise_rate(t_lo, t_hi, g_lo, g_hi) == pytest.approx(
+                reference_rate(t_lo, t_hi, g_lo, g_hi), rel=1e-13
+            )
+
+    def test_array_kernel_matches_scalar_wrapper(self):
+        lo = np.array([0.0, 0.1, 0.4, 0.4, 0.9])
+        hi = np.array([0.3, 0.2, 0.4, 1.0, 1.0])
+        rates = pair_rates(lo, hi, 1.5, 0.5)
+        for i in range(lo.size):
+            assert rates[i] == pairwise_rate(lo[i], hi[i], 1.5, 0.5)
+        assert pair_rates(0.0, 1.0, 1.0, 1.0) == math.inf
