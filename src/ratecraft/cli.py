@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    _MATCH_INTENSITY,
     WEIGHT_KINDS,
     MatchProfile,
     QuestionBank,
@@ -52,7 +53,7 @@ from .simulator import SimConfig, run_simulation
 __all__ = ["main", "build_parser"]
 
 _NAMED_WEIGHTS = tuple(k for k in WEIGHT_KINDS if k != "custom")
-_MATCHING = ("uniform", "linear")
+_MATCHING = tuple(_MATCH_INTENSITY)
 
 
 class CliError(Exception):

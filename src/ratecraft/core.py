@@ -35,6 +35,13 @@ __all__ = [
 WEIGHT_KINDS = ("kendall", "spearman", "top", "bottom", "extremes", "custom")
 MATCH_KINDS = ("uniform", "linear", "table")
 
+# Matching intensity at quality (or rank quantile) x for the kinds that a
+# formula defines; a "table" profile carries its values explicitly.
+_MATCH_INTENSITY = {
+    "uniform": np.ones_like,
+    "linear": lambda x: (1.0 + 10.0 * x) / 11.0,
+}
+
 # Normalizing constants for the named weight kinds: 1 / integral of the raw
 # weight over {theta1 > theta2}.  Raw integrals are 1/2, 1/6, 1/30, 1/30,
 # and 1/672 respectively.
@@ -63,6 +70,14 @@ def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(s, s[1:])):
         raise ValueError("breakpoints must be strictly increasing")
     return s
+
+
+def _checked_qualities(theta) -> np.ndarray:
+    """Qualities as a float array; NaN or a value outside [0, 1] raises."""
+    arr = np.asarray(theta, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("quality must lie within [0, 1]")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -102,9 +117,7 @@ class StepBeta:
 
     def __call__(self, theta):
         """Evaluate at quality ``theta`` (scalar or array) in [0, 1]."""
-        arr = np.asarray(theta, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("quality must lie within [0, 1]")
+        arr = _checked_qualities(theta)
         idx = np.searchsorted(self.s, arr, side="right") - 1
         idx = np.clip(idx, 0, self.M - 1)
         out = np.asarray(self.t, dtype=float)[idx]
@@ -113,8 +126,8 @@ class StepBeta:
         return out
 
     def interval_index(self, theta) -> np.ndarray | int:
-        """Index of the interval containing ``theta``."""
-        arr = np.asarray(theta, dtype=float)
+        """Index of the interval containing ``theta`` (in [0, 1])."""
+        arr = _checked_qualities(theta)
         idx = np.clip(np.searchsorted(self.s, arr, side="right") - 1, 0, self.M - 1)
         if np.isscalar(theta) or arr.ndim == 0:
             return int(idx)
@@ -173,7 +186,7 @@ class MatchProfile:
         s = _as_float_tuple(breakpoints)
         if len(s) < 2:
             raise ValueError("need at least two breakpoints")
-        return MatchProfile("linear", tuple((1.0 + 10.0 * x) / 11.0 for x in s[:-1]))
+        return MatchProfile("linear", tuple(_MATCH_INTENSITY["linear"](x) for x in s[:-1]))
 
     @staticmethod
     def from_table(values: Sequence[float]) -> "MatchProfile":

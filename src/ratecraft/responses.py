@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import QuestionBank
+from .core import QuestionBank, _checked_qualities
 
 __all__ = [
     "PsiInterpolator",
@@ -69,9 +69,7 @@ class PsiInterpolator:
 
     def rows(self, thetas) -> np.ndarray:
         """Interpolated probability rows for an array of qualities."""
-        th = np.asarray(thetas, dtype=float)
-        if np.any(th < 0.0) or np.any(th > 1.0):
-            raise ValueError("quality must lie within [0, 1]")
+        th = _checked_qualities(thetas)
         anchors = np.asarray(self.anchors)
         clipped = np.clip(th, anchors[0], anchors[-1])
         if len(anchors) == 1:

@@ -10,6 +10,7 @@ rank-agreement objective over time, per replicate.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _WEIGHT_MASS, StepBeta, WeightSpec, normalize_weight
+from .core import _MATCH_INTENSITY, _WEIGHT_MASS, StepBeta, WeightSpec, normalize_weight
 
 __all__ = [
     "SimConfig",
@@ -30,17 +31,6 @@ __all__ = [
     "RateEstimate",
     "SimResult",
 ]
-
-_MATCHING_KINDS = ("uniform", "linear")
-
-
-def _match_intensity(kind: str, quantiles: np.ndarray) -> np.ndarray:
-    if kind == "uniform":
-        return np.ones_like(quantiles)
-    if kind == "linear":
-        return (1.0 + 10.0 * quantiles) / 11.0
-    raise ValueError(f"unknown matching kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -73,7 +63,7 @@ class SimConfig:
             raise ValueError("need at least one step")
         if not 0.0 <= self.death_prob < 1.0:
             raise ValueError("death_prob must lie in [0, 1)")
-        if self.matching not in _MATCHING_KINDS:
+        if self.matching not in _MATCH_INTENSITY:
             raise ValueError(f"unknown matching kind {self.matching!r}")
         metrics = tuple(self.metrics)
         object.__setattr__(self, "metrics", metrics)
@@ -148,6 +138,50 @@ def init_market(cfg: SimConfig, seed) -> MarketState:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _rank_probabilities(kind: str, n: int) -> np.ndarray:
+    """Matching probability of each rank, lowest first: the intensity at
+    the rank's quantile, normalized.  Read-only, as every caller shares it."""
+    intensity = _MATCH_INTENSITY[kind]((np.arange(n) + 0.5) / n)
+    probabilities = intensity / intensity.sum()
+    probabilities.flags.writeable = False
+    return probabilities
+
+
+def _rank_order(state: MarketState) -> np.ndarray:
+    """Item slots by score ascending, ties newest (highest id) first:
+    exactly ``np.lexsort((-state.ids, state.scores()))``, for
+    ``0 <= positives <= totals``.
+
+    Each score is p/t with t <= T = max(totals), so two distinct scores
+    differ by at least 1/T^2 > 2^-shift with shift = 2 * bit_length(T),
+    and floor(p * 2^shift / t) ranks the scores exactly (equal fractions
+    such as 1/2 and 2/4 get equal ranks).  The float scores have the same
+    order, because 1/T^2 exceeds their spacing for T < 2^26.  Score rank,
+    age (max(ids) - id) and slot are packed into one int64 key from high
+    bits to low; the keys are unique, so one plain sort orders them and
+    the low bits are the order.  A market whose key needs more than 63
+    bits (always when T >= 2^20) takes the lexsort.
+    """
+    n = state.ids.size
+    top = int(state.totals.max()).bit_length()
+    shift = 2 * top
+    newest = int(state.ids.max())
+    age_bits = (newest - int(state.ids.min())).bit_length()
+    slot_bits = (n - 1).bit_length()
+    if top + shift > 62 or shift + 1 + age_bits + slot_bits > 63:
+        return np.lexsort((-state.ids, state.scores()))
+    key = np.left_shift(state.positives, shift, dtype=np.int64)
+    key //= np.maximum(state.totals, 1)
+    key <<= age_bits
+    key += newest - state.ids
+    key <<= slot_bits
+    key += np.arange(n)
+    key.sort()
+    key &= (1 << slot_bits) - 1
+    return key
+
+
 def step_market(state: MarketState, cfg: SimConfig, rng: np.random.Generator) -> MarketState:
     """One matching round: rank, match, rate, and churn.
 
@@ -158,13 +192,14 @@ def step_market(state: MarketState, cfg: SimConfig, rng: np.random.Generator) ->
     matches in one round.
     """
     n = state.theta.size
-    order = np.lexsort((-state.ids, state.scores()))
-    quantiles = (np.arange(n) + 0.5) / n
-    intensity = _match_intensity(cfg.matching, quantiles)
-    matches_by_rank = rng.multinomial(cfg.n_buyers, intensity / intensity.sum())
+    order = _rank_order(state)
+    matches_by_rank = rng.multinomial(cfg.n_buyers, _rank_probabilities(cfg.matching, n))
     matches = np.zeros(n, dtype=np.int64)
     matches[order] = matches_by_rank
-    state.positives += rng.binomial(matches, state.prob)
+    # the generator draws nothing for n = 0, so skipping the unmatched
+    # items leaves the random stream as it was
+    hit = np.flatnonzero(matches)
+    state.positives[hit] += rng.binomial(matches[hit], state.prob[hit])
     state.totals += matches
     if cfg.death_prob > 0.0:
         dead = rng.random(n) < cfg.death_prob

@@ -55,6 +55,15 @@ class TestStepBeta:
             3,
         ]
 
+    @pytest.mark.parametrize("bad", (math.nan, -0.1, 1.5))
+    def test_rejects_quality_outside_unit_or_nan(self, bad):
+        beta = StepBeta((0.0, 0.5, 1.0), (0.2, 0.8))
+        for theta in (bad, np.array([0.3, bad])):
+            with pytest.raises(ValueError, match="quality"):
+                beta(theta)
+            with pytest.raises(ValueError, match="quality"):
+                beta.interval_index(theta)
+
     def test_m_property(self):
         beta = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
         assert beta.M == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,12 @@ class TestPsiInterpolator:
         hi = interp.row(1.0)
         assert np.array_equal(lo, random_bank.psi[0])
         assert np.array_equal(hi, random_bank.psi[-1])
+
+    @pytest.mark.parametrize("bad", (math.nan, -0.1, 1.5))
+    def test_rejects_quality_outside_unit_or_nan(self, random_bank, bad):
+        interp = PsiInterpolator.from_bank(random_bank)
+        with pytest.raises(ValueError, match="quality"):
+            interp.rows(np.array([0.3, bad]))
 
     def test_midpoint_is_average(self):
         bank = QuestionBank(

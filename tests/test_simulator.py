@@ -1,6 +1,7 @@
 """Simulator behavior: market dynamics, bookkeeping, recorded output,
 and the Monte Carlo pair-error rate fit."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -21,7 +22,7 @@ from ratecraft import (
     run_simulation,
     step_market,
 )
-from ratecraft.simulator import _RankObjective
+from ratecraft.simulator import _RankObjective, _rank_order
 
 FLAT = StepBeta((0.0, 1.0), (0.5,))
 SPLIT = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
@@ -196,6 +197,58 @@ class TestMarketDynamics:
         assert np.abs(state.totals - expected).max() <= 3.0 * sigma
 
 
+# largest denominators below 2**20 and their neighbouring fractions:
+# 524286/1048573 and 524287/1048575 differ by 1/(1048573 * 1048575)
+NEAR = 2**20 - 1
+
+
+def market_of(positives, totals, ids) -> MarketState:
+    n = len(totals)
+    ids = np.asarray(ids, dtype=np.int64)
+    return MarketState(
+        theta=np.linspace(0.0, 1.0, n),
+        prob=np.full(n, 0.5),
+        positives=np.asarray(positives, dtype=np.int64),
+        totals=np.asarray(totals, dtype=np.int64),
+        ids=ids,
+        next_id=int(ids.max()) + 1,
+    )
+
+
+@st.composite
+def rank_markets(draw):
+    n = draw(st.integers(2, 30))
+    top = draw(st.sampled_from([1, 4, 60, NEAR, 2**20, 2**21]))
+    total = st.one_of(st.just(0), st.integers(max(0, top - 4), top), st.integers(0, top))
+    totals = draw(st.lists(total, min_size=n, max_size=n))
+    positives = [draw(st.sampled_from([0, t // 2, t, (t + 1) // 2]) | st.integers(0, t)) for t in totals]
+    base = draw(st.sampled_from([0, 2**40, 2**61]))
+    ids = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n, unique=True))
+    ids = [base + i for i in ids]
+    if draw(st.booleans()):
+        # one old item far below the rest spreads the ages over 2**61
+        ids[draw(st.integers(0, n - 1))] = 0
+    return market_of(positives, totals, ids)
+
+
+class TestRankOrder:
+    @given(market=rank_markets())
+    # zero totals; equal fractions 1/2 = 2/4 = 3/6 and 1/3 = 2/6;
+    # neighbouring fractions whose denominators are near 2**20; ids near
+    # 2**61; then markets whose key does not fit in 63 bits (a total of
+    # 2**20, and ids spread over 2**61)
+    @example(market=market_of([0, 0, 0], [0, 0, 0], [2, 0, 1]))
+    @example(market=market_of([1, 2, 3, 1, 2, 0], [2, 4, 6, 3, 6, 0], [0, 1, 2, 3, 4, 5]))
+    @example(market=market_of([524287, 524286, 524287, 1], [NEAR, NEAR - 2, NEAR, 2], [3, 1, 0, 2]))
+    @example(market=market_of([5, 5, 0, 1], [9, 9, 0, 1], [2**61 + k for k in (7, 3, 5, 1)]))
+    @example(market=market_of([524288, 524287, 1, 0], [2**20, NEAR, 2, 0], [0, 1, 2, 3]))
+    @example(market=market_of([1, 1, 0], [2, 2, 0], [0, 2**61, 5]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lexsort(self, market):
+        expect = np.lexsort((-market.ids, market.scores()))
+        assert np.array_equal(_rank_order(market), expect)
+
+
 class TestEmpiricalObjective:
     @staticmethod
     def state_with(theta, positives, totals):
@@ -346,6 +399,17 @@ class TestRunSimulation:
         cfg = SimConfig(design=SPLIT, steps=15, n_items=10, n_buyers=6, seed=6,
                         replicates=3, death_prob=0.1)
         assert run_simulation(cfg, jobs=2).rows == run_simulation(cfg, jobs=1).rows
+
+    def test_seeded_rows_pinned(self):
+        # sha256 of one seeded run's rows: any change to the random stream
+        # or to the rank order moves it
+        cfg = SimConfig(design=StepBeta((0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.9)),
+                        steps=60, n_items=80, n_buyers=30, death_prob=0.05,
+                        matching="linear", metrics=("kendall", "bottom"),
+                        seed=11, replicates=2)
+        rows = run_simulation(cfg).rows
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "abac88ba53099857e4faada2cf9d06f544bceca2ce245e41fd5fa64f1e3948fb"
 
     def test_jobs_must_be_positive(self):
         cfg = SimConfig(design=FLAT, steps=5)
