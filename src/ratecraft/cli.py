@@ -41,7 +41,6 @@ from .optimizer import (
     verify_equalization,
 )
 from .partition import asymptotic_value, optimize_partition
-from .rates import overall_rate, pair_report
 from .responses import (
     estimate_known,
     estimate_unknown,
@@ -192,10 +191,9 @@ def _cmd_rate(args) -> int:
     report = verify_equalization(beta, g)
     writer = _writer(sys.stdout)
     writer.writerow(["pair", "t_lo", "t_hi", "g_lo", "g_hi", "rate"])
-    for pair in pair_report(beta, g):
-        writer.writerow(
-            [pair.index, pair.t_lo, pair.t_hi, pair.g_lo, pair.g_hi, repr(pair.rate)]
-        )
+    t, gv = beta.t, g.values
+    for i, rate in enumerate(report.rates):
+        writer.writerow([i, t[i], t[i + 1], gv[i], gv[i + 1], repr(rate)])
     print(f"overall_rate {report.rate!r}")
     print(f"spread {report.spread!r}")
     print(f"equalized {'true' if report.passed else 'false'}")
@@ -334,12 +332,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", choices=_MATCHING, default="uniform", help="matching profile")
     p.add_argument("--w", choices=_NAMED_WEIGHTS, default="kendall", help="pair weight")
     p.add_argument("--grid", type=int, default=1000, help="breakpoint search grid")
-    p.add_argument("--tol", type=float, default=1e-13, help="stop when no angle step exceeds this")
     p.add_argument(
-        "--residual-tol", type=float, default=1e-9, help="allowed rate spread"
+        "--tol",
+        type=float,
+        default=1e-13,
+        help="stop when no angle step exceeds this (non-constant matching "
+        "only: constant matching is solved in closed form)",
     )
-    p.add_argument("--max-outer", type=int, default=200, help="Newton iteration cap")
-    p.add_argument("--max-inner", type=int, default=200, help="step halving cap")
+    p.add_argument(
+        "--residual-tol",
+        type=float,
+        default=1e-9,
+        help="allowed rate spread; the solve never reads it, and rate and "
+        "double check equalization with the default",
+    )
+    p.add_argument(
+        "--max-outer",
+        type=int,
+        default=200,
+        help="Newton iteration cap (non-constant matching only)",
+    )
+    p.add_argument(
+        "--max-inner",
+        type=int,
+        default=200,
+        help="step halving cap (non-constant matching only)",
+    )
     p.add_argument("--out", required=True, help="design JSON to write")
     p.set_defaults(func=_cmd_optimize_beta)
 

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -115,12 +116,23 @@ class StepBeta:
         """Number of intervals."""
         return len(self.t)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # breakpoints and levels as arrays, built once for every lookup
+        return np.array(self.s), np.array(self.t)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only; the lookup arrays are rebuilt on demand
+        return {"s": self.s, "t": self.t}
+
+    def _index(self, arr: np.ndarray):
+        idx = np.searchsorted(self._arrays[0], arr, side="right") - 1
+        return np.minimum(np.maximum(idx, 0), self.M - 1)
+
     def __call__(self, theta):
         """Evaluate at quality ``theta`` (scalar or array) in [0, 1]."""
         arr = _checked_qualities(theta)
-        idx = np.searchsorted(self.s, arr, side="right") - 1
-        idx = np.clip(idx, 0, self.M - 1)
-        out = np.asarray(self.t, dtype=float)[idx]
+        out = self._arrays[1][self._index(arr)]
         if np.isscalar(theta) or arr.ndim == 0:
             return float(out)
         return out
@@ -128,7 +140,7 @@ class StepBeta:
     def interval_index(self, theta) -> np.ndarray | int:
         """Index of the interval containing ``theta`` (in [0, 1])."""
         arr = _checked_qualities(theta)
-        idx = np.clip(np.searchsorted(self.s, arr, side="right") - 1, 0, self.M - 1)
+        idx = self._index(arr)
         if np.isscalar(theta) or arr.ndim == 0:
             return int(idx)
         return idx

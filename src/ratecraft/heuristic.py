@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import QuestionBank, QuestionDistribution, StepBeta
 from .responses import PsiInterpolator
@@ -85,6 +84,9 @@ def fit_h(
         j = int(np.argmin(gaps))
         probs = tuple(1.0 if k == j else 0.0 for k in range(n))
         return QuestionDistribution(bank.questions, probs, float(gaps[j]))
+
+    # scipy.optimize takes most of a second to import; only the LP needs it
+    from scipy.optimize import linprog
 
     # variables [H_1..H_n, e_1..e_m]; e_i >= |target_i - (psi H)_i|
     cost = np.concatenate([np.zeros(n), u])

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import MatchProfile, StepBeta, make_step_beta
 from .partition import Partition, equispaced_partition
@@ -45,7 +44,8 @@ class SolverConfig:
 
     tol bounds the largest angle step of the last Newton iteration.
     max_outer caps the Newton iterations and max_inner the step halvings
-    that keep the levels strictly increasing within one iteration.
+    that keep the levels strictly increasing within one iteration.  All
+    three apply only to the Newton solve, which constant matching skips.
     residual_tol is the allowed spread among adjacent pair rates in a
     solved design, measured relative to max(1, achieved rate).
     use_last_level_bound is accepted for compatibility and has no effect.
@@ -97,12 +97,14 @@ def equalize_chain(
 ) -> list[float]:
     """Interior levels between two pinned ones with all pair rates equal.
 
-    One damped Newton solve for the angles of ``t = sin(phi)^2``, started
-    from equal angle steps, which are the answer for constant matching.
-    Each step is halved, at most ``cfg.max_inner`` times, until the levels
-    stay strictly increasing.  The solve stops when no angle step exceeds
-    ``cfg.tol`` and raises :class:`ConvergenceError` once it would take
-    more than ``cfg.max_outer`` steps.
+    Under constant matching the answer is closed form: equal steps in the
+    angle ``phi`` of ``t = sin(phi)^2``, returned without iterating, so
+    ``cfg`` is not read.  Otherwise one damped Newton solve for the angles
+    starts from those steps.  Each step is halved, at most
+    ``cfg.max_inner`` times, until the levels stay strictly increasing.
+    The solve stops when no angle step exceeds ``cfg.tol`` and raises
+    :class:`ConvergenceError` once it would take more than
+    ``cfg.max_outer`` steps.
 
     Parameters
     ----------
@@ -131,9 +133,15 @@ def equalize_chain(
     if any(x <= 0.0 for x in gv):
         raise ValueError("matching intensities must be positive")
 
-    gw = np.array(gv)
     edges = np.arcsin(np.sqrt([lo, hi]))
     phi = np.linspace(edges[0], edges[1], count + 2)[1:-1]
+    if all(x == gv[0] for x in gv):
+        return (np.sin(phi) ** 2).tolist()
+
+    # scipy.linalg is imported here so that constant matching never loads it
+    from scipy.linalg import solve_banded
+
+    gw = np.array(gv)
 
     def chain(angles: np.ndarray):
         # levels, their complements and pair differences, all from angles

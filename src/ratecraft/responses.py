@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,6 +64,14 @@ class PsiInterpolator:
     def from_bank(bank: QuestionBank) -> "PsiInterpolator":
         return PsiInterpolator(bank.thetas, bank.psi)
 
+    @cached_property
+    def _anchor_array(self) -> np.ndarray:
+        return np.array(self.anchors)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only; the anchor array is rebuilt on demand
+        return {"anchors": self.anchors, "values": self.values}
+
     def row(self, theta: float) -> np.ndarray:
         """Interpolated probability vector at one quality."""
         return self.rows(np.asarray([theta]))[0]
@@ -70,11 +79,12 @@ class PsiInterpolator:
     def rows(self, thetas) -> np.ndarray:
         """Interpolated probability rows for an array of qualities."""
         th = _checked_qualities(thetas)
-        anchors = np.asarray(self.anchors)
-        clipped = np.clip(th, anchors[0], anchors[-1])
+        anchors = self._anchor_array
+        clipped = np.minimum(np.maximum(th, anchors[0]), anchors[-1])
         if len(anchors) == 1:
             return np.repeat(self.values, len(th), axis=0)
-        hi = np.clip(np.searchsorted(anchors, clipped, side="left"), 1, len(anchors) - 1)
+        hi = np.searchsorted(anchors, clipped, side="left")
+        hi = np.minimum(np.maximum(hi, 1), len(anchors) - 1)
         lo = hi - 1
         span = anchors[hi] - anchors[lo]
         alpha = (clipped - anchors[lo]) / span

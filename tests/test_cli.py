@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,3 +507,58 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "optimize-beta" in proc.stdout
+
+
+SCIPY_PROBE = r"""
+import sys
+from pathlib import Path
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+import ratecraft.cli as cli
+
+assert not scipy_modules(), ("import", scipy_modules())
+d = Path(sys.argv[1])
+
+
+def run(*argv):
+    code = cli.main([str(a) for a in argv])
+    assert code == 0, (argv, code)
+
+
+run("optimize-beta", "--M", 20, "--grid", 100, "--out", d / "d.json")
+run("rate", "--design", d / "d.json")
+run("double", "--design", d / "d.json", "--out", d / "dd.json")
+run("partition", "--w", "spearman", "--M", 5, "--grid", 50, "--out", d / "p.csv")
+run("estimate-psi", "--mode", "known", "--ratings", d / "ratings.csv",
+    "--qualities", d / "qualities.csv", "--out", d / "est.csv")
+run("simulate", "--design", d / "d.json", "--steps", 5, "--items", 20,
+    "--buyers", 5, "--death", 0.1, "--out", d / "sim.csv")
+assert not scipy_modules(), ("constant matching", scipy_modules())
+
+run("optimize-beta", "--M", 20, "--grid", 100, "--g", "linear", "--out", d / "l.json")
+assert "scipy.linalg" in sys.modules
+run("fit-h", "--beta", d / "d.json", "--psi", d / "psi.csv", "--out", d / "h.json")
+assert "scipy.optimize" in sys.modules
+print("ok")
+"""
+
+
+def test_scipy_loads_only_where_used(tmp_path, bank_file):
+    """Importing the CLI and every subcommand that needs no LP and no
+    Newton level solve leave scipy unloaded; the two that do still run."""
+    (tmp_path / "qualities.csv").write_text("item_id,theta\na,0.2\nb,0.8\n")
+    (tmp_path / "ratings.csv").write_text(
+        "item_id,question,response\na,q,0\na,q,1\nb,q,1\nb,q,1\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")

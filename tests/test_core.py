@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ class TestStepBeta:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             StepBeta((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+
+    def test_lookups_leave_value_semantics_alone(self):
+        s, t = (0.0, 0.3, 0.7, 1.0), (0.1, 0.5, 0.9)
+        used, fresh = StepBeta(s, t), StepBeta(s, t)
+        used(np.linspace(0.0, 1.0, 11))
+        used.interval_index(0.5)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone(0.3) == 0.5 and clone.interval_index(1.0) == 2
+        with pytest.raises(ValueError, match="quality"):
+            clone(math.nan)
 
     @given(
         st.lists(

@@ -135,6 +135,34 @@ class TestClosedForm:
         assert result.rate == pytest.approx(exact, rel=1e-12 + 2.0**-52 / exact)
 
 
+class TestConstantMatchingShortcut:
+    """Constant matching returns the equal-angle start with no Newton
+    step; these pin it, bit for bit, to what the solve returned when it
+    stopped at iteration 0."""
+
+    @staticmethod
+    def equal_angle_levels(lo, hi, count):
+        edges = np.arcsin(np.sqrt([lo, hi]))
+        return (np.sin(np.linspace(edges[0], edges[1], count + 2)[1:-1]) ** 2).tolist()
+
+    @pytest.mark.parametrize("lo, hi", ((0.0, 1.0), (0.0, 0.3), (0.2, 1.0), (0.05, 0.95)))
+    @pytest.mark.parametrize("gv", (1.0, 0.37))
+    def test_levels_are_sin_squared_of_equal_angle_steps(self, lo, hi, gv):
+        for M in (*range(3, 201), 10_000):
+            levels = equalize_chain(lo, hi, M - 2, (gv,) * M)
+            assert levels == self.equal_angle_levels(lo, hi, M - 2), M
+
+    def test_linear_matching_still_iterates(self):
+        M = 50
+        g = MatchProfile.linear(equispaced_partition(M).s)
+        levels = equalize_chain(0.0, 1.0, M - 2, g)
+        start = self.equal_angle_levels(0.0, 1.0, M - 2)
+        assert np.abs(np.subtract(levels, start)).max() > 1e-3
+        report = verify_equalization((0.0, *levels, 1.0), g)
+        assert report.passed
+        assert report.spread <= 1e-10 * report.rate
+
+
 class TestRandomProfiles:
     @given(
         st.integers(3, 40).flatmap(

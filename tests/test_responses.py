@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -186,6 +187,13 @@ class TestPsiInterpolator:
         interp = PsiInterpolator.from_bank(random_bank)
         with pytest.raises(ValueError, match="quality"):
             interp.rows(np.array([0.3, bad]))
+
+    def test_lookups_leave_pickles_alone(self, random_bank):
+        interp = PsiInterpolator.from_bank(random_bank)
+        before = pickle.dumps(interp)
+        rows = interp.rows(np.array([0.0, 0.5, 1.0]))
+        assert pickle.dumps(interp) == before
+        assert np.array_equal(pickle.loads(before).rows(np.array([0.0, 0.5, 1.0])), rows)
 
     def test_midpoint_is_average(self):
         bank = QuestionBank(
