@@ -283,21 +283,6 @@ class WeightSpec:
         t = np.asarray(theta, dtype=float)
         return np.array(_WEIGHT_MASS[self.kind](t), dtype=float)
 
-    def factors(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Separable form of the raw weight at the qualities ``theta``.
-
-        Returns ``F`` and ``G`` of shape ``(K, n)`` with
-        ``raw(theta[i], theta[j]) == sum_k F[k, i] * G[k, j]`` up to
-        rounding: for Kendall F = G = (1,), for the other named kinds
-        F = (theta P, -P) and G = (P, theta P) with P from :meth:`mass`.
-        Custom weights have no such form and raise ``ValueError``.
-        """
-        p = self.mass(theta)
-        if self.kind == "kendall":
-            return p[None], p[None].copy()
-        tp = np.asarray(theta, dtype=float) * p
-        return np.stack([tp, -p]), np.stack([p, tp])
-
     def quadrature_integral(self, grid: int = 1000) -> float:
         """Integral over {theta1 > theta2} by composite midpoint quadrature.
 

@@ -28,11 +28,14 @@ __all__ = [
     "MAX_GRID",
 ]
 
-# Largest breakpoint grid the dynamic program accepts: its mass table holds
-# about grid**2 / 2 floats, 67 MB at this limit.
+# Largest breakpoint grid the dynamic program accepts: its tiled mass table
+# holds about grid**2 / 2 floats, and the search peaks at 74.6 MiB
+# (tracemalloc, bottom weight, M=3) at this limit.
 MAX_GRID = 4096
-# Rows of the mass table stored per block; also bounds the per-sweep buffer.
-_ROW_BLOCK = 32
+# Columns per tile of the mass table; the sweep bounds and skips whole tiles.
+_TILE = 32
+# Tiles the sweep evaluates at once; bounds its temporaries to 2 * 128 KiB.
+_EVAL_TILES = 512
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,9 @@ class _GridMass:
         self._tri = np.concatenate([[0.0], np.cumsum(strict_rows + diag_cells)])
         self._rect = np.zeros((grid + 1, grid + 1))
         self._rect[1:, 1:] = np.cumsum(np.cumsum(wmat, axis=0), axis=1)
+        # the sweep's tile bounds assume every mass is a number
+        if not (np.isfinite(self._tri).all() and np.isfinite(self._rect).all()):
+            raise ValueError("weight must be finite on the grid")
 
     def span(self, a: int, bs: np.ndarray) -> np.ndarray:
         """Mass of triangles from fixed grid index a to each index in bs."""
@@ -188,23 +194,50 @@ class _GridMass:
         return tri - rect
 
 
-def _mass_blocks(mass: _GridMass) -> list[tuple[int, np.ndarray]]:
-    """Upper triangle of T[a, b], the within mass of [a/G, b/G], by row blocks.
+def _mass_tiles(mass: _GridMass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper triangle of T[a, b], the within mass of [a/G, b/G], in tiles.
 
-    The block starting at row a0 holds rows a0..a0+_ROW_BLOCK-1 over columns
-    a0+1..G, so together the blocks take about G**2/2 floats.  Entries with
-    b <= a are +inf, so a min-plus step never picks them.
+    Tile t covers columns b = t*_TILE + 1 .. (t+1)*_TILE.  Row a keeps its
+    tiles a // _TILE onward, one after another in ``tiles``, an
+    (n_tiles, _TILE) array of about G**2/2 floats; tile t of row a is
+    ``tiles[base[a] + t]``.  Entries with b <= a or b > G are +inf, so a
+    min-plus step never picks them.  ``tile_min[a, t]`` is the least entry
+    of that tile, +inf for tiles row a does not keep.
     """
     G = mass.grid
-    blocks = []
-    for a0 in range(0, G, _ROW_BLOCK):
-        rows = min(_ROW_BLOCK, G - a0)
-        block = np.full((rows, G - a0), np.inf)
-        for r in range(rows):
-            a = a0 + r
-            block[r, r:] = mass.span(a, np.arange(a + 1, G + 1))
-        blocks.append((a0, block))
-    return blocks
+    n_cols = -(-G // _TILE)
+    first = np.arange(G) // _TILE
+    kept = n_cols - first
+    base = np.concatenate([[0], np.cumsum(kept[:-1])]) - first
+    tiles = np.full((int(kept.sum()), _TILE), np.inf)
+    flat = tiles.reshape(-1)
+    for a in range(G):
+        at = (base[a] + first[a]) * _TILE + a % _TILE
+        flat[at : at + G - a] = mass.span(a, np.arange(a + 1, G + 1))
+    tile_min = np.full((G, n_cols), np.inf)
+    tile_min[np.arange(n_cols) >= first[:, None]] = tiles.min(axis=1)
+    return tiles, base, tile_min
+
+
+def _tile_argmin(
+    tiles: np.ndarray, cost_tiles: np.ndarray, at: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First minimum of fl(T + cost) within each listed tile, and its offset.
+
+    ``at`` indexes ``tiles`` and ``cols`` the matching cost tile.  The sums
+    are gathered _EVAL_TILES tiles at a time, which bounds the temporaries;
+    ``take`` and argmin run about twice as fast as fancy indexing and
+    ``min(axis=1)`` on rows this short.
+    """
+    k = np.empty(len(at), dtype=np.intp)
+    val = np.empty(len(at))
+    for p in range(0, len(at), _EVAL_TILES):
+        q = slice(p, p + _EVAL_TILES)
+        sums = tiles.take(at[q], axis=0)
+        sums += cost_tiles.take(cols[q], axis=0)
+        k[q] = sums.argmin(axis=1)
+        val[q] = sums[np.arange(len(sums)), k[q]]
+    return k, val
 
 
 def optimize_partition(
@@ -217,13 +250,42 @@ def optimize_partition(
 
     The rank-agreement kinds (kendall, spearman) are returned equispaced,
     which is exactly optimal for them.  Other kinds are solved by dynamic
-    programming with breakpoints restricted to multiples of ``1/grid``.
-    The within masses T[a, b] of [a/grid, b/grid] are tabulated once,
-    upper triangle only (about grid**2 / 2 floats), and each further
-    interval adds one min-plus sweep over that table, O(grid**2) time.
-    The table's memory is why ``grid`` may not exceed ``MAX_GRID`` on
-    this route.  Each sweep keeps the first minimizing breakpoint, so ties
-    go to the lexicographically smallest breakpoint vector.
+    programming with breakpoints restricted to multiples of ``1/grid``:
+    with T[a, b] the within mass of [a/grid, b/grid], the least mass
+    cost_j[a] of splitting [a/grid, 1] into j intervals is
+    min over b of T[a, b] + cost_{j-1}[b], one min-plus layer per interval.
+
+    Table.  T is tabulated once, upper triangle only, in tiles of
+    ``_TILE`` (32) columns aligned on absolute b: tile t holds
+    b = 32t+1 .. 32t+32, and row a keeps its tiles from a // 32 on, in
+    one flat array.  That is about grid**2 / 2 floats plus grid * 32 of
+    padding, and beside it the least entry of every (row, tile),
+    grid**2 / 32 floats.  The table's memory is why ``grid`` may not
+    exceed ``MAX_GRID`` on this route; there the search peaks at 74.6 MiB
+    (tracemalloc, M = 3), and at 5.4 MiB for grid = 1000 and M = 200.
+
+    Rows.  Layer j sweeps only starts a in [M - j, grid - j]: a smaller a
+    cannot be reached from 0 by M - j intervals of at least one cell, and
+    from a larger a fewer than j cells remain.
+
+    Pruning.  For each row a and tile t, lb = fl(min T[a, tile] +
+    min cost_{j-1}[tile]) is no larger than any sum fl(T[a, b] + cost[b])
+    with b in the tile, exactly, because rounding is monotone.  The tile
+    with the least lb is evaluated first; its minimum ub is a value the
+    row reaches, so a tile with lb > ub holds no minimizer and is
+    skipped.  The tiles with lb <= ub, ties with ub included, are
+    evaluated with the very sums a dense sweep forms, tiles in column
+    order and the first minimum within each, and the first b reaching
+    the row's minimum is kept.  Costs and breakpoints are therefore those
+    of the dense sweep bit for bit, and ties go to the lexicographically
+    smallest breakpoint vector.
+
+    Cost.  A layer takes R * grid / 32 bound entries, R = grid - M + 1
+    rows, plus 32 entries for the first tile and for each surviving
+    tile of a row.  At M = 200 and grid = 1000, 1.3 to 1.8 tiles survive
+    per row on average (top, bottom, extremes), so a layer touches 12-15%
+    of the entries the dense O(grid**2) layer does.  Its temporaries are
+    R * grid / 32 floats for the bounds and 2 * ``_EVAL_TILES`` tiles.
 
     Parameters
     ----------
@@ -255,27 +317,45 @@ def optimize_partition(
         return Partition((0.0, 1.0))
 
     G = grid
-    mass = _GridMass(w, G)
-    blocks = _mass_blocks(mass)
-    # cost[a]: least within-interval mass splitting [a/G, 1] into j
-    # intervals, +inf where that is impossible.  For j = 1 it is T[a, G],
-    # the table's last column; layer j is
+    tiles, base, tile_min = _mass_tiles(_GridMass(w, G))
+    n_cols = tile_min.shape[1]
+    # cost[b]: least within-interval mass splitting [b/G, 1] into j
+    # intervals, +inf where that is impossible or not needed, and +inf past
+    # G so that cost[1:] splits into tiles like the table's columns.  For
+    # j = 1 it is T[b, G]; layer j is
     # cost_j[a] = min over b of T[a, b] + cost_{j-1}[b].  step[j, a] keeps
     # the first minimizing b, so reading the breakpoints forward from a = 0
     # gives the lexicographically smallest optimal vector.
-    cost = np.append(np.concatenate([block[:, -1] for _, block in blocks]), np.inf)
+    cost = np.full(n_cols * _TILE + 1, np.inf)
+    cost[:G] = tiles[base[:G] + (G - 1) // _TILE, (G - 1) % _TILE]
     # int16 holds every index up to MAX_GRID
     step = np.zeros((M + 1, G + 1), dtype=np.int16)
-    buf = np.empty((_ROW_BLOCK, G))
+    # each layer sweeps G - M + 1 rows; the flat (row, tile 0) index of each
+    row_first = np.arange(G - M + 1) * n_cols
     for j in range(2, M + 1):
-        nxt = np.full(G + 1, np.inf)
-        for a0, block in blocks:
-            rows, width = block.shape
-            seg = np.add(block, cost[a0 + 1 :], out=buf[:rows, :width])
-            k = seg.argmin(axis=1)
-            nxt[a0 : a0 + rows] = seg[np.arange(rows), k]
-            step[j, a0 : a0 + rows] = k + (a0 + 1)
-        cost = nxt
+        # only starts reachable from 0 by M - j intervals that can still
+        # be split into j intervals
+        lo, hi = M - j, G - j
+        row_base = base[lo : hi + 1]
+        cost_tiles = cost[1:].reshape(n_cols, _TILE)
+        # fl() is monotone, so lb bounds every sum fl(T + cost) in a tile
+        lb = tile_min[lo : hi + 1] + cost_tiles.min(axis=1)
+        best = lb.argmin(axis=1)
+        _, ub = _tile_argmin(tiles, cost_tiles, row_base + best, best)
+        # a tile with lb > ub holds no minimizer; ties with ub survive
+        keep = np.flatnonzero(lb <= ub[:, None])
+        del lb  # (G - M + 1) x n_cols floats, freed before the second gather
+        rows, cols = np.divmod(keep, n_cols)
+        k, val = _tile_argmin(tiles, cost_tiles, row_base[rows] + cols, cols)
+        # keep runs row by row and, within a row, tile by tile in column
+        # order, so the first hit of a row's minimum is its first minimizer
+        starts = keep.searchsorted(row_first)
+        row_min = np.minimum.reduceat(val, starts)
+        hits = np.flatnonzero(val == row_min[rows])
+        pick = hits[hits.searchsorted(starts)]
+        cost = np.full_like(cost, np.inf)
+        cost[lo : hi + 1] = row_min
+        step[j, lo : hi + 1] = cols[pick] * _TILE + k[pick] + 1
 
     bounds = [0]
     for j in range(M, 1, -1):

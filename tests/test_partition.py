@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from ratecraft.core import normalize_weight
@@ -19,6 +21,15 @@ from ratecraft.partition import (
 )
 
 NAMED = ("kendall", "spearman", "top", "bottom", "extremes")
+
+
+# (M, G): grids below one 32-column tile, grids that are not a multiple of
+# it, and M == G, where every interval is one cell
+SMALL_AND_RAGGED = ((5, 5), (2, 2), (3, 31), (7, 33), (17, 257), (31, 31))
+
+
+def custom_weight():
+    return normalize_weight("custom", raw=lambda a, b: (a - b) * (1 + a * b))
 
 
 def quad_interval_mass(w, a, b):
@@ -167,11 +178,81 @@ class TestOptimizePartition:
         [
             *((normalize_weight(k), 200, 1000) for k in ("top", "bottom", "extremes")),
             (normalize_weight("custom", raw=lambda a, b: (a - b) * (1 + a * b)), 20, 400),
+            *(
+                (normalize_weight(k), M, G)
+                for k in ("top", "bottom", "extremes")
+                for M, G in SMALL_AND_RAGGED
+            ),
+            (custom_weight(), 5, 120),
+            (custom_weight(), 3, 120),
         ],
-        ids=("top", "bottom", "extremes", "custom"),
+        ids=(
+            "top",
+            "bottom",
+            "extremes",
+            "custom",
+            *(
+                f"{k}-{M}-{G}"
+                for k in ("top", "bottom", "extremes")
+                for M, G in SMALL_AND_RAGGED
+            ),
+            "custom-5-120",
+            "custom-3-120",
+        ),
     )
     def test_matches_dense_dp_oracle(self, w, M, G):
         assert optimize_partition(w, M, grid=G, method="dp").s == dense_dp(w, M, G)
+
+    @pytest.mark.parametrize(
+        "kind,M,G",
+        [
+            ("kendall", 8, 64),
+            ("spearman", 4, 128),
+            # tied optimal breakpoints on both sides of a tile boundary
+            # (32 | 33 and 64 | 65); taking the last tied tile changes these
+            ("kendall", 2, 65),
+            ("kendall", 3, 97),
+        ],
+    )
+    def test_exact_ties_across_tiles(self, kind, M, G):
+        w = normalize_weight(kind)
+        assert optimize_partition(w, M, grid=G, method="dp").s == dense_dp(w, M, G)
+
+    @given(
+        kind=st.sampled_from((*NAMED, "custom")),
+        M=st.integers(2, 12),
+        G=st.integers(2, 300),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_dp_property(self, kind, M, G):
+        G = max(G, M)
+        w = custom_weight() if kind == "custom" else normalize_weight(kind)
+        assert optimize_partition(w, M, grid=G, method="dp").s == dense_dp(w, M, G)
+
+    @pytest.mark.parametrize("kind", NAMED)
+    def test_sweep_makes_no_nan(self, kind):
+        # inf - inf would give a NaN, which argmin would pick without a word
+        with np.errstate(invalid="raise"):
+            part = optimize_partition(normalize_weight(kind), 200, 1000, method="dp")
+        assert part.M == 200
+
+    def test_rejects_weight_not_finite_on_grid(self):
+        # finite where normalize_weight samples it, NaN on the diagonal
+        w = normalize_weight("custom", raw=lambda a, b: np.where(a == b, np.nan, a - b))
+        with pytest.raises(ValueError, match="finite"):
+            optimize_partition(w, 3, grid=50)
+
+    def test_memory_at_grid_limit(self):
+        # measured peak 74.6 MiB (78.2 MB): the tiled table, the per-tile
+        # minima and one layer's bounds; the limit allows 10% more
+        w = normalize_weight("bottom")
+        tracemalloc.start()
+        try:
+            optimize_partition(w, 3, grid=MAX_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 82 * 2**20
 
     def test_mass_table_memory_stays_triangular(self):
         # a dense (G+1)^2 table plus a same-size temporary peaks near 17 MiB

@@ -304,19 +304,6 @@ class TestEmpiricalObjective:
         with pytest.raises(ValueError, match="separable"):
             empirical_objective(state, w)
 
-    @pytest.mark.parametrize("kind", NAMED)
-    def test_factors_reproduce_raw_weight(self, kind):
-        w = normalize_weight(kind)
-        a = np.linspace(0.0, 1.0, 41)
-        b = np.concatenate([np.linspace(0.0, 1.0, 37), [0.5, 1e-9, 1 - 1e-9]])
-        F, _ = w.factors(a)
-        _, G = w.factors(b)
-        assert F.shape == (1 if kind == "kendall" else 2, a.size)
-        assert G.shape == (F.shape[0], b.size)
-        product = (F[:, :, None] * G[:, None, :]).sum(axis=0)
-        raw = np.asarray(w.raw(a[:, None], b[None, :]), dtype=float)
-        assert np.abs(product - raw).max() <= 1e-15
-
     @staticmethod
     @st.composite
     def markets(draw):
