@@ -16,7 +16,6 @@ from .core import (
     StepBeta,
     WeightSpec,
     load_design,
-    make_step_beta,
     normalize_weight,
     save_design,
 )
@@ -61,7 +60,6 @@ from .responses import (
     PsiInterpolator,
     estimate_known,
     estimate_unknown,
-    interpolate,
     read_qualities_csv,
     read_ratings_csv,
     write_qualities_csv,
@@ -117,12 +115,10 @@ __all__ = [
     "induced_beta",
     "inf_point",
     "init_market",
-    "interpolate",
     "interval_mass",
     "kl_bernoulli",
     "l1_gap",
     "load_design",
-    "make_step_beta",
     "naive_uniform_h",
     "nested_bisection",
     "normalize_weight",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (
     _MATCH_INTENSITY,
-    WEIGHT_KINDS,
+    _NAMED_WEIGHTS,
     MatchProfile,
     QuestionBank,
     QuestionDistribution,
@@ -51,7 +51,7 @@ from .simulator import SimConfig, run_simulation
 
 __all__ = ["main", "build_parser"]
 
-_NAMED_WEIGHTS = tuple(k for k in WEIGHT_KINDS if k != "custom")
+_WEIGHTING = tuple(_NAMED_WEIGHTS)
 _MATCHING = tuple(_MATCH_INTENSITY)
 
 
@@ -96,7 +96,6 @@ def _solve_design(M: int, w_kind: str, g_kind: str, grid: int, cfg=None):
 def _cmd_optimize_beta(args) -> int:
     cfg = SolverConfig(
         tol=args.tol,
-        residual_tol=args.residual_tol,
         max_outer=args.max_outer,
         max_inner=args.max_inner,
     )
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--M", type=int, default=200, help="number of intervals")
     p.add_argument("--g", choices=_MATCHING, default="uniform", help="matching profile")
-    p.add_argument("--w", choices=_NAMED_WEIGHTS, default="kendall", help="pair weight")
+    p.add_argument("--w", choices=_WEIGHTING, default="kendall", help="pair weight")
     p.add_argument("--grid", type=int, default=1000, help="breakpoint search grid")
     p.add_argument(
         "--tol",
@@ -338,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-13,
         help="stop when no angle step exceeds this (non-constant matching "
         "only: constant matching is solved in closed form)",
-    )
-    p.add_argument(
-        "--residual-tol",
-        type=float,
-        default=1e-9,
-        help="allowed rate spread; the solve never reads it, and rate and "
-        "double check equalization with the default",
     )
     p.add_argument(
         "--max-outer",
@@ -409,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics",
         nargs="+",
-        choices=_NAMED_WEIGHTS,
+        choices=_WEIGHTING,
         default=["kendall"],
     )
     p.add_argument("--seed", type=int, default=0)
@@ -457,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Choose the M breakpoints maximizing cross-interval "
         "weight mass. Output CSV columns: index,breakpoint.",
     )
-    p.add_argument("--w", choices=_NAMED_WEIGHTS, required=True)
+    p.add_argument("--w", choices=_WEIGHTING, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--method", choices=("auto", "dp"), default="auto")
@@ -490,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--death", type=float, default=0.0, help="sim-panel churn")
     p.add_argument("--matching", choices=_MATCHING, default="uniform")
     p.add_argument(
-        "--metrics", nargs="+", choices=_NAMED_WEIGHTS, default=["kendall"]
+        "--metrics", nargs="+", choices=_WEIGHTING, default=["kendall"]
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

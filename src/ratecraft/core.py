@@ -25,7 +25,6 @@ __all__ = [
     "WeightSpec",
     "QuestionBank",
     "QuestionDistribution",
-    "make_step_beta",
     "normalize_weight",
     "save_design",
     "load_design",
@@ -33,26 +32,97 @@ __all__ = [
     "MATCH_KINDS",
 ]
 
-WEIGHT_KINDS = ("kendall", "spearman", "top", "bottom", "extremes", "custom")
-MATCH_KINDS = ("uniform", "linear", "table")
-
 # Matching intensity at quality (or rank quantile) x for the kinds that a
 # formula defines; a "table" profile carries its values explicitly.
 _MATCH_INTENSITY = {
     "uniform": np.ones_like,
     "linear": lambda x: (1.0 + 10.0 * x) / 11.0,
 }
+MATCH_KINDS = (*_MATCH_INTENSITY, "table")
 
-# Normalizing constants for the named weight kinds: 1 / integral of the raw
-# weight over {theta1 > theta2}.  Raw integrals are 1/2, 1/6, 1/30, 1/30,
-# and 1/672 respectively.
-_NAMED_WEIGHT_CONSTANTS = {
-    "kendall": 2.0,
-    "spearman": 6.0,
-    "top": 30.0,
-    "bottom": 30.0,
-    "extremes": 672.0,
+
+@dataclass(frozen=True)
+class _NamedWeight:
+    """One named pair weight, defined here and nowhere else.
+
+    ``raw(a, b)`` is the unnormalized weight of a pair a > b; every named
+    kind but Kendall has raw(a, b) == (a - b) * P(a) * P(b) with P >= 0 on
+    [0, 1], and Kendall weighs every pair by 1 with P = 1.  That form lets
+    the simulator score a ranking in O(n log n) instead of summing over
+    all n^2 pairs.  ``constant`` is 1 / the integral of raw over
+    {a > b}.  ``within(a, b)`` is the normalized mass of
+    {a <= theta2 < theta1 <= b} in closed form: each raw weight is
+    polynomial, so the triangle integral factors as a power of (b - a)
+    times a symmetric polynomial in a and b.  ``equal_width`` marks the
+    kinds for which equal-width intervals are exactly optimal.
+    """
+
+    constant: float
+    raw: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    P: Callable[[np.ndarray], np.ndarray]
+    within: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    equal_width: bool = False
+
+    def interval_mass(self, a, b) -> np.ndarray:
+        """``within`` at a and b converted to float arrays first: a Python
+        float ``a`` would change the last bits of some ``**`` results."""
+        return self.within(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+# Raw integrals over {a > b} are 1/2, 1/6, 1/30, 1/30 and 1/672.
+_NAMED_WEIGHTS = {
+    "kendall": _NamedWeight(
+        2.0,
+        lambda a, b: np.broadcast_arrays(
+            np.ones_like(np.asarray(a, dtype=float)), np.asarray(b, dtype=float)
+        )[0].copy(),
+        np.ones_like,
+        lambda a, b: (b - a) ** 2,
+        equal_width=True,
+    ),
+    "spearman": _NamedWeight(
+        6.0,
+        lambda a, b: a - b,
+        np.ones_like,
+        lambda a, b: (b - a) ** 3,
+        equal_width=True,
+    ),
+    "top": _NamedWeight(
+        30.0,
+        lambda a, b: a * b * (a - b),
+        lambda t: t,
+        lambda a, b: (b - a) ** 3 * (a * a + 3.0 * a * b + b * b),
+    ),
+    "bottom": _NamedWeight(
+        30.0,
+        lambda a, b: (1.0 - a) * (1.0 - b) * (a - b),
+        lambda t: 1.0 - t,
+        lambda a, b: (b - a) ** 3 * (a * a + 3.0 * a * b + b * b - 5.0 * (a + b) + 5.0),
+    ),
+    "extremes": _NamedWeight(
+        672.0,
+        lambda a, b: (0.5 - a) ** 2 * (0.5 - b) ** 2 * (a - b),
+        lambda t: (0.5 - t) ** 2,
+        lambda a, b: (b - a) ** 3 * (
+            8.0 * a**4
+            + 24.0 * a**3 * b
+            - 28.0 * a**3
+            + 48.0 * a**2 * b**2
+            - 84.0 * a**2 * b
+            + 42.0 * a**2
+            + 24.0 * a * b**3
+            - 84.0 * a * b**2
+            + 84.0 * a * b
+            - 28.0 * a
+            + 8.0 * b**4
+            - 28.0 * b**3
+            + 42.0 * b**2
+            - 28.0 * b
+            + 7.0
+        ),
+    ),
 }
+WEIGHT_KINDS = (*_NAMED_WEIGHTS, "custom")
 
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
@@ -146,11 +216,6 @@ class StepBeta:
         return idx
 
 
-def make_step_beta(s: Sequence[float], t: Sequence[float]) -> StepBeta:
-    """Validate and build a :class:`StepBeta`."""
-    return StepBeta(tuple(s), tuple(t))
-
-
 @dataclass(frozen=True)
 class MatchProfile:
     """Per-interval matching intensity.
@@ -189,58 +254,22 @@ class MatchProfile:
         return MatchProfile("uniform", (1.0,) * M)
 
     @staticmethod
-    def linear(breakpoints: Sequence[float]) -> "MatchProfile":
-        """Increasing intensity (1 + 10*theta) / 11, sampled per interval.
-
-        Each interval gets its infimum intensity, which for an increasing
-        profile is the value at the interval's left endpoint.
-        """
-        s = _as_float_tuple(breakpoints)
-        if len(s) < 2:
-            raise ValueError("need at least two breakpoints")
-        return MatchProfile("linear", tuple(_MATCH_INTENSITY["linear"](x) for x in s[:-1]))
-
-    @staticmethod
     def from_table(values: Sequence[float]) -> "MatchProfile":
         return MatchProfile("table", tuple(values))
 
     @staticmethod
     def from_kind(kind: str, breakpoints: Sequence[float]) -> "MatchProfile":
-        """Build the named profile for the given interval breakpoints."""
-        if kind == "uniform":
-            return MatchProfile.uniform(len(breakpoints) - 1)
-        if kind == "linear":
-            return MatchProfile.linear(breakpoints)
-        raise ValueError(f"cannot build kind {kind!r} without explicit values")
+        """Sample a formula kind's intensity once per interval.
 
-
-def _raw_weight(kind: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    if kind == "kendall":
-        return lambda a, b: np.broadcast_arrays(
-            np.ones_like(np.asarray(a, dtype=float)), np.asarray(b, dtype=float)
-        )[0].copy()
-    if kind == "spearman":
-        return lambda a, b: a - b
-    if kind == "top":
-        return lambda a, b: a * b * (a - b)
-    if kind == "bottom":
-        return lambda a, b: (1.0 - a) * (1.0 - b) * (a - b)
-    if kind == "extremes":
-        return lambda a, b: (0.5 - a) ** 2 * (0.5 - b) ** 2 * (a - b)
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
-# Every named raw weight but Kendall's is raw(a, b) = (a - b) * P(a) * P(b)
-# with P >= 0 on [0, 1]; Kendall weighs every pair by 1 and its P is 1.
-# This is what lets the simulator score a ranking in O(n log n) instead of
-# summing over all n^2 pairs.
-_WEIGHT_MASS = {
-    "kendall": np.ones_like,
-    "spearman": np.ones_like,
-    "top": lambda t: t,
-    "bottom": lambda t: 1.0 - t,
-    "extremes": lambda t: (0.5 - t) ** 2,
-}
+        Each interval gets the intensity at its left endpoint, which for
+        the nondecreasing formulas is the interval's infimum.
+        """
+        if kind not in _MATCH_INTENSITY:
+            raise ValueError(f"cannot build kind {kind!r} without explicit values")
+        left = np.array(breakpoints[:-1], dtype=float)
+        if left.size == 0:
+            raise ValueError("need at least two breakpoints")
+        return MatchProfile(kind, _MATCH_INTENSITY[kind](left).tolist())
 
 
 @dataclass(frozen=True)
@@ -248,8 +277,8 @@ class WeightSpec:
     """Pair weight w(theta1, theta2) on {theta1 > theta2}, normalized so the
     integral over that triangle is 1.
 
-    Named kinds use hard-wired analytic constants; custom weights are
-    normalized by quadrature (see :func:`normalize_weight`).
+    Named kinds take their constant from ``_NAMED_WEIGHTS``; custom
+    weights are normalized by quadrature (see :func:`normalize_weight`).
     """
 
     kind: str
@@ -278,25 +307,34 @@ class WeightSpec:
         with P >= 0 on [0, 1]; Kendall's P is 1.  Custom weights have no
         such form and raise ``ValueError``.
         """
-        if self.kind not in _WEIGHT_MASS:
+        if self.kind not in _NAMED_WEIGHTS:
             raise ValueError(f"{self.kind} weight has no separable form")
         t = np.asarray(theta, dtype=float)
-        return np.array(_WEIGHT_MASS[self.kind](t), dtype=float)
+        return np.array(_NAMED_WEIGHTS[self.kind].P(t), dtype=float)
 
     def quadrature_integral(self, grid: int = 1000) -> float:
-        """Integral over {theta1 > theta2} by composite midpoint quadrature.
+        """Integral over {theta1 > theta2} by composite midpoint quadrature
+        on ``grid`` cells per side (see :func:`_midpoint_mass`)."""
+        return float(self.constant * _midpoint_mass(self.raw, 0.0, 1.0, grid))
 
-        Cells below the diagonal use their midpoint; diagonal cells
-        contribute their lower-triangular half, evaluated at its centroid.
-        Exact for weights that are affine within every cell.
-        """
-        h = 1.0 / grid
-        mids = (np.arange(grid) + 0.5) * h
-        w = self.raw(mids[:, None], mids[None, :])
-        lower = np.tril(w, k=-1).sum() * h * h
-        j = np.arange(grid) * h
-        diag = self.raw(j + 2.0 * h / 3.0, j + h / 3.0).sum() * (h * h / 2.0)
-        return float(self.constant * (lower + diag))
+
+def _midpoint_mass(
+    raw: Callable[[np.ndarray, np.ndarray], np.ndarray], a: float, b: float, cells: int
+) -> float:
+    """Raw weight mass of {a <= theta2 < theta1 <= b}, unnormalized, by
+    composite midpoint quadrature on ``cells`` cells per side.
+
+    Cells below the diagonal use their midpoint; diagonal cells contribute
+    their lower-triangular half, evaluated at its centroid.  Exact for
+    weights that are affine within every cell.
+    """
+    h = (b - a) / cells
+    mids = a + (np.arange(cells) + 0.5) * h
+    w = np.asarray(raw(mids[:, None], mids[None, :]), dtype=float)
+    lower = np.tril(w, k=-1).sum() * h * h
+    base = a + np.arange(cells) * h
+    diag = np.asarray(raw(base + 2.0 * h / 3.0, base + h / 3.0), dtype=float)
+    return lower + diag.sum() * (h * h / 2.0)
 
 
 def normalize_weight(
@@ -311,19 +349,18 @@ def normalize_weight(
     nonnegative, strictly positive somewhere) and is normalized so its
     midpoint-quadrature integral at the given grid is exactly 1.
     """
-    if kind in _NAMED_WEIGHT_CONSTANTS:
-        return WeightSpec(kind, _NAMED_WEIGHT_CONSTANTS[kind], _raw_weight(kind))
+    if kind in _NAMED_WEIGHTS:
+        return WeightSpec(kind, _NAMED_WEIGHTS[kind].constant, _NAMED_WEIGHTS[kind].raw)
     if kind != "custom":
         raise ValueError(f"unknown weight kind {kind!r}")
     if raw is None:
         raise ValueError("custom weight needs a raw callable")
-    probe = WeightSpec("custom", 1.0, raw)
     h = 1.0 / grid
     mids = (np.arange(grid) + 0.5) * h
     sample = np.asarray(raw(mids[:, None], mids[None, :]), dtype=float)
     if np.any(np.tril(sample, k=-1) < 0.0):
         raise ValueError("custom weight must be nonnegative on theta1 > theta2")
-    total = probe.quadrature_integral(grid)
+    total = float(_midpoint_mass(raw, 0.0, 1.0, grid))
     if not math.isfinite(total) or total <= 0.0:
         raise ValueError("custom weight must have positive integral")
     return WeightSpec("custom", 1.0 / total, raw)
@@ -567,7 +604,7 @@ def load_design(path: str | Path) -> dict:
     ``residual``.
     """
     payload = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "design file")
-    beta = make_step_beta(_number_list(payload, "s"), _number_list(payload, "t"))
+    beta = StepBeta(_number_list(payload, "s"), _number_list(payload, "t"))
     if payload["M"] != beta.M:
         raise ValueError("design file M does not match its own levels")
     g_entry = _json_object(payload["g"], "design file 'g'")

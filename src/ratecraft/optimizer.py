@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatchProfile, StepBeta, make_step_beta
+from .core import MatchProfile, StepBeta
 from .partition import Partition, equispaced_partition
 from .rates import adjacent_rates, pair_rates
 
@@ -225,7 +225,7 @@ def nested_bisection(
         raise ValueError("breakpoints do not match M")
 
     if M == 2:
-        beta = make_step_beta(s, (0.0, 1.0))
+        beta = StepBeta(s, (0.0, 1.0))
         return SolverResult(beta, g, math.inf, 0.0, degenerate=True)
 
     interior = equalize_chain(0.0, 1.0, M - 2, g.values, cfg)
@@ -233,7 +233,7 @@ def nested_bisection(
     rates = adjacent_rates(levels, g)
     rate = min(rates)
     residual = max(rates) - rate
-    beta = make_step_beta(s, levels)
+    beta = StepBeta(s, levels)
     return SolverResult(beta, g, rate, residual)
 
 
@@ -266,7 +266,7 @@ def double_levels(
     out = np.empty(2 * M - 1)
     out[0::2] = t
     out[1::2] = np.sin(0.5 * (phi[:-1] + phi[1:])) ** 2
-    return make_step_beta(equispaced_partition(2 * M - 1).s, out.tolist())
+    return StepBeta(equispaced_partition(2 * M - 1).s, out.tolist())
 
 
 @dataclass(frozen=True)

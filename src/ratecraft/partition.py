@@ -3,9 +3,10 @@
 A step rating function can only distinguish items in different intervals,
 so for a pair weighting w the intervals should be chosen to maximize the
 cross-interval weight; equivalently, to minimize the weight mass of pairs
-falling inside a common interval.  For the rank-agreement weightings
-(kendall, spearman) equal-width intervals are optimal.  Other weightings
-are solved by dynamic programming over a breakpoint grid.
+falling inside a common interval.  For the kinds marked ``equal_width`` in
+``core._NAMED_WEIGHTS`` (the rank-agreement weightings) equal-width
+intervals are optimal.  Other weightings are solved by dynamic programming
+over a breakpoint grid.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import WeightSpec, _checked_breakpoints
+from .core import _NAMED_WEIGHTS, WeightSpec, _checked_breakpoints, _midpoint_mass
 
 __all__ = [
     "Partition",
@@ -65,64 +66,15 @@ def _breakpoints(partition: Partition | Sequence[float]) -> tuple[float, ...]:
     return Partition(tuple(partition)).s
 
 
-def _named_interval_mass(kind: str, a, b):
-    """Normalized weight mass of {a <= theta2 < theta1 <= b}, closed form.
-
-    Each named weight is polynomial, so the triangle integral factors as
-    a power of (b - a) times a symmetric polynomial in a and b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    if kind == "kendall":
-        return d**2
-    if kind == "spearman":
-        return d**3
-    if kind == "top":
-        return d**3 * (a * a + 3.0 * a * b + b * b)
-    if kind == "bottom":
-        return d**3 * (a * a + 3.0 * a * b + b * b - 5.0 * (a + b) + 5.0)
-    if kind == "extremes":
-        poly = (
-            8.0 * a**4
-            + 24.0 * a**3 * b
-            - 28.0 * a**3
-            + 48.0 * a**2 * b**2
-            - 84.0 * a**2 * b
-            + 42.0 * a**2
-            + 24.0 * a * b**3
-            - 84.0 * a * b**2
-            + 84.0 * a * b
-            - 28.0 * a
-            + 8.0 * b**4
-            - 28.0 * b**3
-            + 42.0 * b**2
-            - 28.0 * b
-            + 7.0
-        )
-        return d**3 * poly
-    raise ValueError(f"no closed-form interval mass for kind {kind!r}")
-
-
-def _quadrature_interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
-    # midpoint cells plus centroid-evaluated diagonal halves, scaled to [a, b]
-    cells = max(2, int(math.ceil(grid * (b - a))))
-    h = (b - a) / cells
-    mids = a + (np.arange(cells) + 0.5) * h
-    wmat = np.asarray(w.raw(mids[:, None], mids[None, :]), dtype=float)
-    lower = np.tril(wmat, k=-1).sum() * h * h
-    base = a + np.arange(cells) * h
-    diag = np.asarray(w.raw(base + 2.0 * h / 3.0, base + h / 3.0), dtype=float).sum()
-    return float(w.constant * (lower + diag * h * h / 2.0))
-
-
 def interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
     """Normalized mass of pairs with both qualities in [a, b]."""
     if not 0.0 <= a < b <= 1.0:
         raise ValueError("need 0 <= a < b <= 1")
-    if w.kind == "custom":
-        return _quadrature_interval_mass(w, a, b, grid)
-    return float(_named_interval_mass(w.kind, a, b))
+    named = _NAMED_WEIGHTS.get(w.kind)
+    if named is not None:
+        return float(named.interval_mass(a, b))
+    cells = max(2, int(math.ceil(grid * (b - a))))
+    return float(w.constant * _midpoint_mass(w.raw, a, b, cells))
 
 
 def within_mass(
@@ -156,10 +108,9 @@ class _GridMass:
     """
 
     def __init__(self, w: WeightSpec, grid: int):
-        self.w = w
         self.grid = grid
-        self.analytic = w.kind != "custom"
-        if self.analytic:
+        self.named = _NAMED_WEIGHTS.get(w.kind)
+        if self.named is not None:
             return
         h = 1.0 / grid
         mids = (np.arange(grid) + 0.5) * h
@@ -184,11 +135,8 @@ class _GridMass:
 
     def span(self, a: int, bs: np.ndarray) -> np.ndarray:
         """Mass of triangles from fixed grid index a to each index in bs."""
-        if self.analytic:
-            g = self.grid
-            return np.asarray(
-                _named_interval_mass(self.w.kind, a / g, bs / g), dtype=float
-            )
+        if self.named is not None:
+            return self.named.interval_mass(a / self.grid, bs / self.grid)
         tri = self._tri[bs] - self._tri[a]
         rect = self._rect[bs, a] - self._rect[a, a]
         return tri - rect
@@ -248,8 +196,9 @@ def optimize_partition(
 ) -> Partition:
     """Choose M interval breakpoints maximizing cross-interval weight.
 
-    The rank-agreement kinds (kendall, spearman) are returned equispaced,
-    which is exactly optimal for them.  Other kinds are solved by dynamic
+    The kinds marked ``equal_width`` in ``core._NAMED_WEIGHTS`` (the
+    rank-agreement kinds) are returned equispaced, which is exactly
+    optimal for them.  Other kinds are solved by dynamic
     programming with breakpoints restricted to multiples of ``1/grid``:
     with T[a, b] the within mass of [a/grid, b/grid], the least mass
     cost_j[a] of splitting [a/grid, 1] into j intervals is
@@ -304,7 +253,8 @@ def optimize_partition(
         raise ValueError("M must be at least 1")
     if method not in ("auto", "dp"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and w.kind in ("kendall", "spearman"):
+    named = _NAMED_WEIGHTS.get(w.kind)
+    if method == "auto" and named is not None and named.equal_width:
         return equispaced_partition(M)
     if grid > MAX_GRID:
         raise ValueError(

@@ -24,7 +24,6 @@ __all__ = [
     "PsiInterpolator",
     "estimate_known",
     "estimate_unknown",
-    "interpolate",
     "read_ratings_csv",
     "read_qualities_csv",
     "write_ratings_csv",
@@ -89,11 +88,6 @@ class PsiInterpolator:
         span = anchors[hi] - anchors[lo]
         alpha = (clipped - anchors[lo]) / span
         return (1.0 - alpha)[:, None] * self.values[lo] + alpha[:, None] * self.values[hi]
-
-
-def interpolate(bank: QuestionBank, theta: float) -> np.ndarray:
-    """Response probability vector at ``theta`` for the bank's questions."""
-    return PsiInterpolator.from_bank(bank).row(theta)
 
 
 def _collect_counts(

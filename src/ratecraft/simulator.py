@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _MATCH_INTENSITY, _WEIGHT_MASS, StepBeta, WeightSpec, normalize_weight
+from .core import _MATCH_INTENSITY, _NAMED_WEIGHTS, StepBeta, WeightSpec, normalize_weight
 
 __all__ = [
     "SimConfig",
@@ -70,7 +70,7 @@ class SimConfig:
         if not metrics:
             raise ValueError("at least one metric required")
         for m in metrics:
-            if m not in _WEIGHT_MASS:
+            if m not in _NAMED_WEIGHTS:
                 raise ValueError(f"unknown metric {m!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from scipy.integrate import dblquad
 from ratecraft.core import (
     MATCH_KINDS,
     WEIGHT_KINDS,
+    _NAMED_WEIGHTS,
     MatchProfile,
     QuestionBank,
     QuestionDistribution,
     StepBeta,
     load_design,
-    make_step_beta,
     normalize_weight,
     save_design,
 )
@@ -146,7 +147,7 @@ class TestMatchProfile:
 
     def test_linear_samples_left_endpoints(self):
         s = (0.0, 0.25, 0.5, 0.75, 1.0)
-        g = MatchProfile.linear(s)
+        g = MatchProfile.from_kind("linear", s)
         expected = tuple((1 + 10 * a) / 11 for a in s[:-1])
         assert g.values == pytest.approx(expected, abs=0)
         assert not g.is_constant
@@ -233,6 +234,149 @@ class TestWeightNormalization:
         hi, lo = max(a, b), min(a, b)
         for kind in self.NAMED:
             assert normalize_weight(kind)(hi, lo) >= 0.0
+
+
+# Each named kind's factor P, exactly, as coefficients of 1, t, t^2, ...
+# Every other entry of the weight table follows from P: raw(a, b) =
+# (a - b) P(a) P(b), except Kendall's raw = 1.
+_P_COEFFS = {
+    "kendall": (1,),
+    "spearman": (1,),
+    "top": (0, 1),
+    "bottom": (1, -1),
+    "extremes": (Fraction(1, 4), -1, 1),
+}
+# Dyadic qualities: every product in raw and P is exact in a double.
+_DYADIC = [Fraction(k, 32) for k in range(33)]
+
+
+def _poly_at(coeffs, t):
+    return sum(Fraction(c) * t**i for i, c in enumerate(coeffs))
+
+
+def _raw_terms(kind):
+    """Exact raw weight as {(i, j): c}, meaning sum of c * a**i * b**j."""
+    if kind == "kendall":
+        return {(0, 0): Fraction(1)}
+    P = _P_COEFFS[kind]
+    terms = {}
+    for i, ci in enumerate(P):
+        for j, cj in enumerate(P):
+            for di, dj, sign in ((1, 0, 1), (0, 1, -1)):
+                key = (i + di, j + dj)
+                terms[key] = terms.get(key, 0) + sign * Fraction(ci) * Fraction(cj)
+    return terms
+
+
+def _within_terms(kind, constant):
+    """Exact normalized mass of {a <= y < x <= b} as {(p, q): c} in a, b.
+
+    The integral of x**i * y**j over that triangle is
+    (b**(i+j+2) - a**(i+j+2)) / ((i+j+2)(j+1))
+    - a**(j+1) (b**(i+1) - a**(i+1)) / ((i+1)(j+1)).
+    """
+    out = {}
+
+    def add(p, q, c):
+        out[(p, q)] = out.get((p, q), 0) + c
+
+    for (i, j), c in _raw_terms(kind).items():
+        c = constant * c / (j + 1)
+        n = i + j + 2
+        add(0, n, c / n)
+        add(n, 0, -c / n)
+        add(j + 1, i + 1, -c / (i + 1))
+        add(n, 0, c / (i + 1))
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _divide_by_gap(terms):
+    """Exact quotient of a polynomial in (a, b) by (b - a), or None when
+    b - a does not divide it."""
+    top = max(q for _, q in terms)
+    # synthetic division in b with root b = a: q_{m-1} = w_m + a * q_m
+    quotient, carry = {}, {}
+    for m in range(top, 0, -1):
+        row = {p: c for (p, q), c in terms.items() if q == m}
+        for p, c in carry.items():
+            row[p + 1] = row.get(p + 1, 0) + c
+        carry = {p: c for p, c in row.items() if c != 0}
+        for p, c in carry.items():
+            quotient[(p, m - 1)] = c
+    remainder = {p: c for (p, q), c in terms.items() if q == 0}
+    for p, c in carry.items():
+        remainder[p + 1] = remainder.get(p + 1, 0) + c
+    return quotient if not any(remainder.values()) else None
+
+
+def _gap_form(kind, constant):
+    """(k, Q) with within mass == (b - a)**k * Q(a, b), Q not divisible by b - a."""
+    terms, k = _within_terms(kind, constant), 0
+    while (quotient := _divide_by_gap(terms)) is not None:
+        terms, k = quotient, k + 1
+    return k, terms
+
+
+class TestNamedWeightTable:
+    """Every entry of ``core._NAMED_WEIGHTS`` derived exactly from P alone."""
+
+    def test_every_named_kind_has_its_P_here(self):
+        assert set(_P_COEFFS) == set(_NAMED_WEIGHTS)
+        assert WEIGHT_KINDS == (*_NAMED_WEIGHTS, "custom")
+
+    @pytest.mark.parametrize("kind", list(_P_COEFFS))
+    def test_constant_is_exact(self, kind):
+        # the raw mass of the whole triangle: the within mass on [0, 1] at
+        # constant 1, where every term with a power of a vanishes
+        total = sum(c for (p, _), c in _within_terms(kind, 1).items() if p == 0)
+        assert Fraction(_NAMED_WEIGHTS[kind].constant) == 1 / total
+
+    @pytest.mark.parametrize("kind", list(_P_COEFFS))
+    def test_P_and_raw_exact_at_dyadic_points(self, kind):
+        entry = _NAMED_WEIGHTS[kind]
+        x = np.array([float(t) for t in _DYADIC])
+        P = entry.P(x) * np.ones_like(x)
+        assert [Fraction(v) for v in P] == [_poly_at(_P_COEFFS[kind], t) for t in _DYADIC]
+        a, b = np.meshgrid(x, x, indexing="ij")
+        raw = entry.raw(a, b)
+        for i, ta in enumerate(_DYADIC):
+            for j, tb in enumerate(_DYADIC[: i + 1]):
+                if kind == "kendall":
+                    exact = Fraction(1)
+                else:
+                    exact = (ta - tb) * _poly_at(_P_COEFFS[kind], ta) * _poly_at(
+                        _P_COEFFS[kind], tb
+                    )
+                assert Fraction(float(raw[i, j])) == exact
+
+    @pytest.mark.parametrize("kind", list(_P_COEFFS))
+    def test_within_mass_matches_closed_form(self, kind):
+        entry = _NAMED_WEIGHTS[kind]
+        k, Q = _gap_form(kind, Fraction(entry.constant))
+        assert k == (2 if kind == "kendall" else 3)
+        near_half = [Fraction(1, 2) + Fraction(s, 1024) for s in (-3, -1, 1, 2)]
+        points = sorted(set(_DYADIC + near_half))
+        # the closed form multiplies (b - a)**k into Q's terms as written:
+        # each term takes at most 4 roundings, their sum at most 14 more,
+        # the power and the product 2 more; 21 leaves room for libm's pow,
+        # which is within about 0.52 ulp rather than 0.5.  Each rounding
+        # is relative to a value no larger than ``scale``.
+        n, u = 21, Fraction(1, 2**53)
+        gamma = n * u / (1 - n * u)
+        for i, a in enumerate(points):
+            for b in points[i + 1 :]:
+                d = b - a
+                exact = d**k * sum(c * a**p * b**q for (p, q), c in Q.items())
+                scale = d**k * sum(abs(c * a**p * b**q) for (p, q), c in Q.items())
+                got = Fraction(float(entry.interval_mass(float(a), float(b))))
+                assert abs(got - exact) <= gamma * scale
+
+    @pytest.mark.parametrize("kind", list(_P_COEFFS))
+    def test_equal_width_flag_means_mass_depends_on_width_only(self, kind):
+        # within mass c * (b - a)**k is convex in the width, so equal widths
+        # are optimal; any other Q depends on where the interval sits
+        _, Q = _gap_form(kind, Fraction(_NAMED_WEIGHTS[kind].constant))
+        assert _NAMED_WEIGHTS[kind].equal_width == (set(Q) == {(0, 0)})
 
 
 class TestQuestionBank:
@@ -380,7 +524,7 @@ class TestDesignFiles:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_infinite_rate_stored_as_flag(self, tmp_path):
-        beta = make_step_beta((0.0, 0.5, 1.0), (0.0, 1.0))
+        beta = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
         path = tmp_path / "degen.json"
         save_design(path, beta, MatchProfile.uniform(2), "kendall", math.inf, 0.0)
         payload = json.loads(path.read_text())
@@ -390,6 +534,6 @@ class TestDesignFiles:
         assert loaded["rate"] == math.inf
 
     def test_g_length_checked(self, tmp_path):
-        beta = make_step_beta((0.0, 0.5, 1.0), (0.0, 1.0))
+        beta = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             save_design(tmp_path / "x.json", beta, MatchProfile.uniform(3), "kendall")

@@ -154,7 +154,7 @@ class TestConstantMatchingShortcut:
 
     def test_linear_matching_still_iterates(self):
         M = 50
-        g = MatchProfile.linear(equispaced_partition(M).s)
+        g = MatchProfile.from_kind("linear", equispaced_partition(M).s)
         levels = equalize_chain(0.0, 1.0, M - 2, g)
         start = self.equal_angle_levels(0.0, 1.0, M - 2)
         assert np.abs(np.subtract(levels, start)).max() > 1e-3
@@ -243,7 +243,7 @@ class TestNestedBisection:
     def test_linear_matching_lifts_every_interior_level(self):
         for M in (4, 8, 16):
             uniform_t = nested_bisection(M).beta.t
-            g = MatchProfile.linear(equispaced_partition(M).s)
+            g = MatchProfile.from_kind("linear", equispaced_partition(M).s)
             linear_t = nested_bisection(M, g).beta.t
             diffs = np.array(linear_t[1:-1]) - np.array(uniform_t[1:-1])
             assert np.all(diffs > 0)
@@ -285,7 +285,7 @@ class TestDoubleLevels:
 
     def test_rejects_nonconstant_matching(self):
         beta = nested_bisection(4).beta
-        g = MatchProfile.linear(equispaced_partition(4).s)
+        g = MatchProfile.from_kind("linear", equispaced_partition(4).s)
         with pytest.raises(ValueError):
             double_levels(beta, g)
 

@@ -9,7 +9,6 @@ from ratecraft.responses import (
     PsiInterpolator,
     estimate_known,
     estimate_unknown,
-    interpolate,
     read_qualities_csv,
     read_ratings_csv,
     write_qualities_csv,
@@ -218,11 +217,6 @@ class TestPsiInterpolator:
         interp = PsiInterpolator.from_bank(bank)
         assert interp.row(0.1)[0] == 0.4
         assert interp.row(0.9)[0] == 0.4
-
-    def test_interpolate_helper(self, random_bank):
-        values = interpolate(random_bank, 0.5)
-        interp = PsiInterpolator.from_bank(random_bank)
-        assert np.array_equal(values, interp.row(0.5))
 
 
 class TestCsvIO:
