@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +24,10 @@ from .core import (
     _NAMED_WEIGHTS,
     MatchProfile,
     QuestionBank,
-    QuestionDistribution,
+    _design_from_json,
+    _mix_from_json,
+    _read_json,
+    _write_csv,
     load_design,
     normalize_weight,
     save_design,
@@ -55,17 +56,13 @@ _WEIGHTING = tuple(_NAMED_WEIGHTS)
 _MATCHING = tuple(_MATCH_INTENSITY)
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Invalid flags or input files; mapped to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
 
 
 def _seed(args) -> int:
@@ -76,13 +73,6 @@ def _seed(args) -> int:
         except ValueError:
             raise CliError(f"RATECRAFT_SEED must be an integer, got {env!r}")
     return args.seed
-
-
-def _load_bank(path: str) -> QuestionBank:
-    try:
-        return QuestionBank.from_csv(path)
-    except FileNotFoundError:
-        raise CliError(f"cannot read response table {path!r}")
 
 
 def _solve_design(M: int, w_kind: str, g_kind: str, grid: int, cfg=None):
@@ -111,7 +101,7 @@ def _cmd_optimize_beta(args) -> int:
 
 def _cmd_fit_h(args) -> int:
     design = load_design(args.beta)
-    bank = _load_bank(args.psi)
+    bank = QuestionBank.from_csv(args.psi)
     h = fit_h(design["beta"], bank, constraint=args.constraint)
     h.to_json(args.out)
     print(f"questions={bank.n_questions} objective={h.objective:.12g} -> {args.out}")
@@ -137,24 +127,16 @@ def _cmd_estimate_psi(args) -> int:
 
 
 def _load_sim_design(args):
-    """A design file is either a step function or a question mix; sniff
-    the JSON keys and build the callable the simulator needs."""
-    try:
-        payload = json.loads(Path(args.design).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"cannot read design file {args.design!r}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"design file {args.design!r} is not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise CliError(f"design file {args.design!r} is not a JSON object")
+    """A design file is either a step function or a question mix; read it
+    once and build the callable the simulator needs by the keys it has."""
+    payload = _read_json(args.design, "design file")
     if "probabilities" in payload:
         if args.psi is None:
             raise CliError("a question-mix design needs --psi for response rates")
-        bank = _load_bank(args.psi)
-        h = QuestionDistribution.from_json(args.design)
-        return induced_beta(h, bank), "mixture"
+        h = _mix_from_json(payload, args.design)
+        return induced_beta(h, QuestionBank.from_csv(args.psi)), "mixture"
     if "t" in payload:
-        return load_design(args.design)["beta"], "step"
+        return _design_from_json(payload, args.design)["beta"], "step"
     raise CliError(
         f"design file {args.design!r} has neither step levels nor question mix"
     )
@@ -188,7 +170,7 @@ def _cmd_rate(args) -> int:
     beta = design["beta"]
     g = design["g"] if args.g is None else MatchProfile.from_kind(args.g, beta.s)
     report = verify_equalization(beta, g)
-    writer = _writer(sys.stdout)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["pair", "t_lo", "t_hi", "g_lo", "g_hi", "rate"])
     t, gv = beta.t, g.values
     for i, rate in enumerate(report.rates):
@@ -219,11 +201,7 @@ def _cmd_double(args) -> int:
 def _cmd_partition(args) -> int:
     w = normalize_weight(args.w)
     part = optimize_partition(w, args.M, args.grid, method=args.method)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = _writer(fh)
-        writer.writerow(["index", "breakpoint"])
-        for i, s in enumerate(part.s):
-            writer.writerow([i, repr(s)])
+    _write_csv(args.out, ("index", "breakpoint"), ([i, repr(s)] for i, s in enumerate(part.s)))
     value = asymptotic_value(w, part, args.grid)
     print(f"w={args.w} M={args.M} asymptotic_value={value:.12g} -> {args.out}")
     return 0
@@ -237,15 +215,12 @@ def _figure_beta_panel(args) -> None:
         ("bottom", "uniform"),
         ("extremes", "uniform"),
     ]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = _writer(fh)
-        writer.writerow(["design", "theta", "beta"])
-        for w_kind, g_kind in combos:
-            _, _, result = _solve_design(args.M, w_kind, g_kind, args.grid)
-            values = result.beta(thetas)
-            label = f"w={w_kind},g={g_kind}"
-            for th, v in zip(thetas, values):
-                writer.writerow([label, repr(float(th)), repr(float(v))])
+    betas = {f"w={w},g={g}": _solve_design(args.M, w, g, args.grid)[2].beta for w, g in combos}
+    _write_csv(args.out, ("design", "theta", "beta"), (
+        [label, repr(float(th)), repr(float(v))]
+        for label, beta in betas.items()
+        for th, v in zip(thetas, beta(thetas))
+    ))
 
 
 def _figure_h_panel(args) -> None:
@@ -259,17 +234,12 @@ def _figure_h_panel(args) -> None:
         "naive": induced_beta(naive_uniform_h(bank), bank, interp),
     }
     thetas = np.linspace(0.0, 1.0, 1001)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = _writer(fh)
-        writer.writerow(["series", "x", "value"])
-        for name, fn in curves.items():
-            values = fn(thetas)
-            for th, v in zip(thetas, values):
-                writer.writerow([name, repr(float(th)), repr(float(v))])
-        for question, p in zip(fitted.questions, fitted.probabilities):
-            writer.writerow(["mass_fitted", question, repr(float(p))])
-        for question in bank.questions:
-            writer.writerow(["mass_naive", question, repr(1.0 / bank.n_questions)])
+    rows = [[name, repr(float(th)), repr(float(v))]
+            for name, fn in curves.items() for th, v in zip(thetas, fn(thetas))]
+    rows += [["mass_fitted", q, repr(float(p))]
+             for q, p in zip(fitted.questions, fitted.probabilities)]
+    rows += [["mass_naive", q, repr(1.0 / bank.n_questions)] for q in bank.questions]
+    _write_csv(args.out, ("series", "x", "value"), rows)
 
 
 def _figure_sim_panel(args) -> None:
@@ -282,24 +252,22 @@ def _figure_sim_panel(args) -> None:
         ("fitted", induced_beta(fitted, bank, interp)),
         ("naive", induced_beta(naive_uniform_h(bank), bank, interp)),
     ]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = _writer(fh)
-        writer.writerow(["design", "k", "metric", "mean", "se"])
-        for label, design in designs:
-            cfg = SimConfig(
-                design=design,
-                steps=args.steps,
-                death_prob=args.death,
-                matching=args.matching,
-                metrics=tuple(args.metrics),
-                seed=_seed(args),
-                replicates=args.replicates,
-            )
-            sim = run_simulation(cfg, jobs=args.jobs)
-            for k in sim.record_steps:
-                for metric in sim.metrics:
-                    mean, se = sim.mean_se(metric, k)
-                    writer.writerow([label, k, metric, repr(mean), repr(se)])
+    rows = []
+    for label, design in designs:
+        cfg = SimConfig(
+            design=design,
+            steps=args.steps,
+            death_prob=args.death,
+            matching=args.matching,
+            metrics=tuple(args.metrics),
+            seed=_seed(args),
+            replicates=args.replicates,
+        )
+        sim = run_simulation(cfg, jobs=args.jobs)
+        for k in sim.record_steps:
+            for metric in sim.metrics:
+                rows.append([label, k, metric, *map(repr, sim.mean_se(metric, k))])
+    _write_csv(args.out, ("design", "k", "metric", "mean", "se"), rows)
 
 
 def _cmd_figure(args) -> int:
@@ -496,9 +464,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

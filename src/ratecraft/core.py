@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -176,9 +177,10 @@ class StepBeta:
             raise ValueError(
                 f"got {len(t)} levels for {len(s) - 1} intervals"
             )
-        if any(b < a for a, b in zip(t, t[1:])):
+        # written so that NaN fails: it compares false with everything
+        if not all(a <= b for a, b in zip(t, t[1:])):
             raise ValueError("levels must be nondecreasing")
-        if t[0] < 0.0 or t[-1] > 1.0:
+        if not (0.0 <= t[0] and t[-1] <= 1.0):
             raise ValueError("levels must lie within [0, 1]")
 
     @property
@@ -366,6 +368,114 @@ def normalize_weight(
     return WeightSpec("custom", 1.0 / total, raw)
 
 
+# File formats.  Every file the package reads or writes goes through the
+# four helpers below; each format's keys or columns are stated once.
+
+
+@contextmanager
+def _named_errors(name: str):
+    """Prefix every ``ValueError`` raised inside with ``name``; an integer
+    too large for a float or an int64 raises one too."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _read_csv(path: str | Path, forms: dict, text: str | None = None) -> tuple[tuple, list]:
+    """The header and parsed rows of a CSV table whose header is a key of
+    ``forms``.  Each nonblank row must have the header's field count and
+    goes through the parser ``forms`` maps that header to.  ``text``, if
+    given, replaces the file, which ``path`` then only names.  Every
+    problem, a parser's ``ValueError`` too, raises one ``ValueError``
+    of the form ``<path>:<line>: <problem>``."""
+    try:
+        fh = open(path, newline="", encoding="utf-8") if text is None else io.StringIO(text, "")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(h.strip() for h in next(reader, ()))
+            if header not in forms:
+                raise ValueError("expected header " + " or ".join(map(",".join, forms)))
+            parse, width, rows = forms[header], len(header), []
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} fields, got {len(row)}")
+                    rows.append(parse(row))
+        except UnicodeDecodeError:
+            # the file is decoded in blocks, so find the bad byte's line apart
+            decoded = Path(path).read_bytes().decode("utf-8", "replace")
+            line = decoded.count("\n", 0, decoded.find("\ufffd")) + 1
+            raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    return header, rows
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV, lines ending in LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file ``path``.  Every problem raises one
+    ``ValueError`` of the form ``<what> '<path>': <problem>``."""
+    with _named_errors(f"{what} {str(path)!r}"):
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ValueError(f"cannot read: {exc.strerror}") from None
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        return payload
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+# A schema maps each key of a JSON object, dotted for a nested object and
+# ending in "?" if it may be missing or null, to the exact types json.loads
+# returns for an accepted value (so a bool is no integer), the value's
+# description and, for a list, the types of its items.
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a finite number")
+_STRING = ((str,), "a string")
+_OBJECT = ((dict,), "a JSON object")
+_NUMBERS = ((list,), "a list of numbers", {int, float})
+
+_DESIGN_SCHEMA = {
+    "M": _INTEGER, "s": _NUMBERS, "t": _NUMBERS,
+    "g": _OBJECT, "g.kind": _STRING, "g.values": _NUMBERS, "w": _OBJECT, "w.kind": _STRING,
+    "rate?": _NUMBER, "residual?": _NUMBER, "rate_infinite?": ((bool,), "true or false"),
+}
+_MIX_SCHEMA = {"questions": ((list,), "a list of strings", {str}), "probabilities": _NUMBERS,
+               "objective?": _NUMBER}
+_BANK_HEADERS = (("theta", "question", "psi"), ("theta", "question", "positives", "total"))
+
+
+def _check_schema(payload: dict, schema: dict) -> None:
+    """Raise ``ValueError`` naming the first key of ``payload`` that does
+    not match ``schema``; a number must also be finite."""
+    for key, (types, what, *items) in schema.items():
+        name, value = key.rstrip("?"), payload
+        for part in name.split("."):
+            value = value.get(part)
+        if value is None and key.endswith("?"):
+            continue
+        if value is None:
+            raise ValueError(f"{name!r} is missing")
+        if (type(value) not in types or (items and not set(map(type, value)) <= items[0])
+                or (type(value) is float and not math.isfinite(value))):
+            raise ValueError(f"{name!r} must be {what}")
+
+
 @dataclass(frozen=True)
 class QuestionBank:
     """Empirical response probabilities on a grid of anchor qualities.
@@ -432,89 +542,48 @@ class QuestionBank:
 
     def to_csv(self, path: str | Path) -> None:
         """Write one row per (quality, question) cell, counts if present."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if self.totals is not None:
-                writer.writerow(["theta", "question", "positives", "total"])
-                for i, th in enumerate(self.thetas):
-                    for j, q in enumerate(self.questions):
-                        writer.writerow(
-                            [repr(th), q, int(self.positives[i, j]), int(self.totals[i, j])]
-                        )
-            else:
-                writer.writerow(["theta", "question", "psi"])
-                for i, th in enumerate(self.thetas):
-                    for j, q in enumerate(self.questions):
-                        writer.writerow([repr(th), q, repr(float(self.psi[i, j]))])
+        counts = self.totals is not None
+        _write_csv(path, _BANK_HEADERS[counts], (
+            [repr(th), q, int(self.positives[i, j]), int(self.totals[i, j])] if counts
+            else [repr(th), q, repr(float(self.psi[i, j]))]
+            for i, th in enumerate(self.thetas)
+            for j, q in enumerate(self.questions)
+        ))
 
     @staticmethod
     def from_csv(path: str | Path) -> "QuestionBank":
         """Read a bank written by :meth:`to_csv` (either header form)."""
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            return QuestionBank._parse_csv(fh)
+        return QuestionBank._from_csv(path)
 
     @staticmethod
     def from_csv_text(text: str) -> "QuestionBank":
-        return QuestionBank._parse_csv(io.StringIO(text))
+        return QuestionBank._from_csv("<string>", text)
 
     @staticmethod
-    def _parse_csv(fh) -> "QuestionBank":
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty question bank file") from None
-        header = [h.strip() for h in header]
-        if header == ["theta", "question", "psi"]:
-            with_counts = False
-        elif header == ["theta", "question", "positives", "total"]:
-            with_counts = True
-        else:
-            raise ValueError(f"unrecognized question bank header {header!r}")
+    def _from_csv(path: str | Path, text: str | None = None) -> "QuestionBank":
         cells: dict[tuple[float, str], tuple] = {}
-        thetas: list[float] = []
-        questions: list[str] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"question bank line {reader.line_num} has {len(row)} "
-                    f"fields, the header has {len(header)}"
-                )
-            theta = float(row[0])
-            q = row[1]
-            if theta not in thetas:
-                thetas.append(theta)
-            if q not in questions:
-                questions.append(q)
-            key = (theta, q)
+
+        def cell(row):
+            key = (float(row[0]), row[1])
             if key in cells:
-                raise ValueError(f"duplicate cell for theta={theta}, question={q!r}")
-            if with_counts:
-                cells[key] = (int(row[2]), int(row[3]))
-            else:
-                cells[key] = (float(row[2]),)
-        thetas.sort()
-        shape = (len(thetas), len(questions))
-        missing = [
-            (th, q) for th in thetas for q in questions if (th, q) not in cells
-        ]
-        if missing:
-            raise ValueError(f"bank is missing {len(missing)} cells, e.g. {missing[0]}")
-        if with_counts:
-            pos = np.zeros(shape, dtype=np.int64)
-            tot = np.zeros(shape, dtype=np.int64)
-            for i, th in enumerate(thetas):
-                for j, q in enumerate(questions):
-                    pos[i, j], tot[i, j] = cells[(th, q)]
-            psi = pos / tot
-            return QuestionBank(tuple(thetas), tuple(questions), psi, pos, tot)
-        psi = np.zeros(shape)
-        for i, th in enumerate(thetas):
-            for j, q in enumerate(questions):
-                psi[i, j] = cells[(th, q)][0]
-        return QuestionBank(tuple(thetas), tuple(questions), psi)
+                raise ValueError(f"duplicate cell for theta={key[0]}, question={row[1]!r}")
+            cells[key] = (float(row[2]),) if len(row) == 3 else (int(row[2]), int(row[3]))
+
+        header, _ = _read_csv(path, dict.fromkeys(_BANK_HEADERS, cell), text)
+        thetas = sorted({th for th, _ in cells})
+        questions = list(dict.fromkeys(q for _, q in cells))
+        keys = [(th, q) for th in thetas for q in questions]
+        missing = [k for k in keys if k not in cells]
+        # a zero total is reported by the constructor, not as a warning
+        with _named_errors(str(path)), np.errstate(divide="ignore", invalid="ignore"):
+            if missing:
+                raise ValueError(f"bank is missing {len(missing)} cells, e.g. {missing[0]}")
+            table = np.array([cells[k] for k in keys])
+            table = table.reshape(len(thetas), len(questions), len(header) - 2)
+            if header == _BANK_HEADERS[1]:
+                pos, tot = table[..., 0], table[..., 1]
+                return QuestionBank(tuple(thetas), tuple(questions), pos / tot, pos, tot)
+            return QuestionBank(tuple(thetas), tuple(questions), table[..., 0])
 
 
 @dataclass(frozen=True)
@@ -531,27 +600,32 @@ class QuestionDistribution:
         object.__setattr__(self, "probabilities", probs)
         if len(probs) != len(self.questions):
             raise ValueError("one probability per question required")
-        if any(p < 0.0 for p in probs):
+        # written so that NaN fails: it compares false with everything
+        if not all(p >= 0.0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        if not abs(sum(probs) - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
     def to_json(self, path: str | Path) -> None:
-        payload = {
-            "questions": list(self.questions),
-            "probabilities": list(self.probabilities),
-            "objective": self.objective,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write_json(path, asdict(self))
 
     @staticmethod
     def from_json(path: str | Path) -> "QuestionDistribution":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _mix_from_json(_read_json(path, "question mix"), path)
+
+
+def _mix_from_json(payload: dict, path: str | Path) -> QuestionDistribution:
+    """A question mix from the decoded JSON object of the file ``path``."""
+    with _named_errors(f"question mix {str(path)!r}"):
+        _check_schema(payload, _MIX_SCHEMA)
         return QuestionDistribution(
-            tuple(payload["questions"]),
-            tuple(payload["probabilities"]),
-            payload.get("objective"),
-        )
+            payload["questions"], payload["probabilities"], payload.get("objective"))
+
+
+def _checked_weight_kind(kind: str) -> str:
+    if kind not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return kind
 
 
 def save_design(
@@ -573,28 +647,13 @@ def save_design(
         "s": list(beta.s),
         "t": list(beta.t),
         "g": {"kind": g.kind, "values": list(g.values)},
-        "w": {"kind": w_kind},
+        "w": {"kind": _checked_weight_kind(w_kind)},
         "rate": None if rate_infinite else rate,
         "residual": residual,
     }
     if rate_infinite:
         payload["rate_infinite"] = True
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    return value
-
-
-def _number_list(payload: dict, key: str) -> list:
-    values = payload[key]
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        raise ValueError(f"design file {key!r} must be a list of numbers")
-    return values
+    _write_json(path, payload)
 
 
 def load_design(path: str | Path) -> dict:
@@ -603,21 +662,24 @@ def load_design(path: str | Path) -> dict:
     Returns a dict with keys ``beta``, ``g``, ``w_kind``, ``rate``,
     ``residual``.
     """
-    payload = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "design file")
-    beta = StepBeta(_number_list(payload, "s"), _number_list(payload, "t"))
-    if payload["M"] != beta.M:
-        raise ValueError("design file M does not match its own levels")
-    g_entry = _json_object(payload["g"], "design file 'g'")
-    g = MatchProfile(g_entry["kind"], tuple(_number_list(g_entry, "values")))
-    if g.M != beta.M:
-        raise ValueError("design file matching profile has the wrong length")
-    rate = payload.get("rate")
-    if payload.get("rate_infinite"):
-        rate = math.inf
+    return _design_from_json(_read_json(path, "design file"), path)
+
+
+def _design_from_json(payload: dict, path: str | Path) -> dict:
+    """:func:`load_design` on the decoded JSON object of the file ``path``."""
+    with _named_errors(f"design file {str(path)!r}"):
+        _check_schema(payload, _DESIGN_SCHEMA)
+        beta = StepBeta(payload["s"], payload["t"])
+        if payload["M"] != beta.M:
+            raise ValueError("'M' does not match the number of levels")
+        g = MatchProfile(payload["g"]["kind"], payload["g"]["values"])
+        if g.M != beta.M:
+            raise ValueError("the matching profile has the wrong length")
+        w_kind = _checked_weight_kind(payload["w"]["kind"])
     return {
         "beta": beta,
         "g": g,
-        "w_kind": _json_object(payload["w"], "design file 'w'")["kind"],
-        "rate": rate,
+        "w_kind": w_kind,
+        "rate": math.inf if payload.get("rate_infinite") else payload.get("rate"),
         "residual": payload.get("residual"),
     }

@@ -10,7 +10,6 @@ to all of [0, 1].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import QuestionBank, _checked_qualities
+from .core import QuestionBank, _checked_qualities, _read_csv, _write_csv
 
 __all__ = [
     "PsiInterpolator",
@@ -191,64 +190,41 @@ def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
     return QuestionBank(anchors, tuple(questions), psi, pos, tot)
 
 
+_RESPONSES = {"0": 0, "1": 1}
+
+
+def _rating(row: list[str]) -> Rating:
+    response = _RESPONSES.get(row[2])
+    if response is None:
+        raise ValueError("response must be 0 or 1")
+    return row[0], row[1], response
+
+
 def read_ratings_csv(path: str | Path) -> list[Rating]:
     """Rows of ``item_id,question,response`` with response in {0, 1}."""
-    out: list[Rating] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "item_id",
-            "question",
-            "response",
-        ]:
-            raise ValueError(f"expected header item_id,question,response in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            if row[2] not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: response must be 0 or 1")
-            out.append((row[0], row[1], int(row[2])))
-    return out
+    return _read_csv(path, {("item_id", "question", "response"): _rating})[1]
 
 
 def write_ratings_csv(path: str | Path, ratings: Iterable[Rating]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "question", "response"])
-        for item, question, response in ratings:
-            writer.writerow([item, question, int(response)])
+    _write_csv(path, ("item_id", "question", "response"), (
+        [item, question, int(response)] for item, question, response in ratings
+    ))
 
 
 def read_qualities_csv(path: str | Path) -> dict[str, float]:
     """Rows of ``item_id,theta``."""
     out: dict[str, float] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["item_id", "theta"]:
-            raise ValueError(f"expected header item_id,theta in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            if row[0] in out:
-                raise ValueError(f"{path}:{lineno}: duplicate item id {row[0]!r}")
-            try:
-                out[row[0]] = float(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: theta must be a number, got {row[1]!r}"
-                ) from None
+
+    def add(row: list[str]) -> None:
+        if row[0] in out:
+            raise ValueError(f"duplicate item id {row[0]!r}")
+        out[row[0]] = float(row[1])
+
+    _read_csv(path, {("item_id", "theta"): add})
     return out
 
 
 def write_qualities_csv(path: str | Path, qualities: Mapping[str, float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "theta"])
-        for item, theta in qualities.items():
-            writer.writerow([item, repr(float(theta))])
+    _write_csv(path, ("item_id", "theta"), (
+        [item, repr(float(theta))] for item, theta in qualities.items()
+    ))

@@ -9,7 +9,6 @@ rank-agreement objective over time, per replicate.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import _MATCH_INTENSITY, _NAMED_WEIGHTS, StepBeta, WeightSpec, normalize_weight
+from .core import _write_csv
 
 __all__ = [
     "SimConfig",
@@ -447,20 +447,16 @@ class SimResult:
         return mean, float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replicate", "k", "metric", "value"])
-            for rep, k, metric, value in self.rows:
-                writer.writerow([rep, k, metric, repr(value)])
+        _write_csv(path, ("replicate", "k", "metric", "value"), (
+            [rep, k, metric, repr(value)] for rep, k, metric, value in self.rows
+        ))
 
     def summary_to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "metric", "mean", "se", "replicates"])
-            for k in self.record_steps:
-                for metric in self.metrics:
-                    mean, se = self.mean_se(metric, k)
-                    writer.writerow([k, metric, repr(mean), repr(se), self.replicates])
+        _write_csv(path, ("k", "metric", "mean", "se", "replicates"), (
+            [k, metric, *map(repr, self.mean_se(metric, k)), self.replicates]
+            for k in self.record_steps
+            for metric in self.metrics
+        ))
 
 
 def _run_replicate(cfg: SimConfig, rep: int) -> list[tuple[int, int, str, float]]:

@@ -187,6 +187,18 @@ class TestDouble:
         assert code == 1
         assert "constant matching" in err
 
+    def test_unknown_weight_kind_is_input_error(self, design_file, tmp_path, capsys):
+        payload = json.loads(design_file.read_text())
+        payload["w"]["kind"] = "bogus"
+        bad = tmp_path / "bogus.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "o.json"
+        code, _, err = run(capsys, "double", "--design", str(bad), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "weight kind" in err
+        assert not out.exists()
+
 
 class TestPartition:
     def test_kendall_breakpoints_equispaced(self, tmp_path, capsys):
@@ -290,7 +302,7 @@ class TestFitH:
         )
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "line 3" in err
+        assert ":3:" in err
         assert not out.exists()
 
 

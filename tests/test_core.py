@@ -91,6 +91,13 @@ class TestStepBeta:
         with pytest.raises(ValueError):
             StepBeta((0.0, 0.5, 1.0), (0.0, 1.2))
 
+    @pytest.mark.parametrize(
+        "t", [(0.0, math.nan, 1.0), (math.nan, 0.5, 1.0), (0.0, 0.5, math.nan)]
+    )
+    def test_rejects_nan_level(self, t):
+        with pytest.raises(ValueError):
+            StepBeta((0.0, 0.5, 0.7, 1.0), t)
+
     def test_allows_constant_levels(self):
         beta = StepBeta((0.0, 0.5, 1.0), (0.4, 0.4))
         assert beta(0.2) == beta(0.8) == 0.4
@@ -492,6 +499,11 @@ class TestQuestionDistribution:
         with pytest.raises(ValueError):
             QuestionDistribution(("a", "b"), (-0.1, 1.1), None)
 
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_non_finite_mass(self, probs):
+        with pytest.raises(ValueError):
+            QuestionDistribution(("a", "b"), probs, None)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             QuestionDistribution(("a",), (0.5, 0.5), None)
@@ -532,6 +544,13 @@ class TestDesignFiles:
         assert payload["rate_infinite"] is True
         loaded = load_design(path)
         assert loaded["rate"] == math.inf
+
+    def test_weight_kind_checked(self, tmp_path):
+        beta = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="weight kind"):
+            save_design(path, beta, MatchProfile.uniform(2), "bogus")
+        assert not path.exists()
 
     def test_g_length_checked(self, tmp_path):
         beta = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
