@@ -13,7 +13,6 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -165,16 +164,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _rate_rows(t, gv, rates):
+    """The CSV lines of ``rate``'s table.  Each value is formatted once, by
+    ``repr`` as ``csv.writer`` would, and carried into the next row."""
+    yield "pair,t_lo,t_hi,g_lo,g_hi,rate\n"
+    t, gv = map(repr, t), map(repr, gv)
+    t_lo, g_lo = next(t), next(gv)
+    for i, (t_hi, g_hi, rate) in enumerate(zip(t, gv, map(repr, rates))):
+        yield f"{i},{t_lo},{t_hi},{g_lo},{g_hi},{rate}\n"
+        t_lo, g_lo = t_hi, g_hi
+
+
 def _cmd_rate(args) -> int:
     design = load_design(args.design)
     beta = design["beta"]
     g = design["g"] if args.g is None else MatchProfile.from_kind(args.g, beta.s)
     report = verify_equalization(beta, g)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["pair", "t_lo", "t_hi", "g_lo", "g_hi", "rate"])
-    t, gv = beta.t, g.values
-    for i, rate in enumerate(report.rates):
-        writer.writerow([i, t[i], t[i + 1], gv[i], gv[i + 1], repr(rate)])
+    sys.stdout.write("".join(_rate_rows(beta.t, g.values, report.rates)))
     print(f"overall_rate {report.rate!r}")
     print(f"spread {report.spread!r}")
     print(f"equalized {'true' if report.passed else 'false'}")

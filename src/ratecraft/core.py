@@ -127,7 +127,7 @@ WEIGHT_KINDS = (*_NAMED_WEIGHTS, "custom")
 
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
@@ -135,11 +135,12 @@ def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
     s = _as_float_tuple(values)
     if len(s) < 2:
         raise ValueError("need at least one interval (two breakpoints)")
-    if not all(math.isfinite(v) for v in s):
+    arr = np.array(s)
+    if not np.isfinite(arr).all():
         raise ValueError("breakpoints must be finite")
     if s[0] != 0.0 or s[-1] != 1.0:
         raise ValueError("breakpoints must start at 0 and end at 1")
-    if any(b <= a for a, b in zip(s, s[1:])):
+    if not (arr[1:] > arr[:-1]).all():
         raise ValueError("breakpoints must be strictly increasing")
     return s
 
@@ -177,8 +178,9 @@ class StepBeta:
             raise ValueError(
                 f"got {len(t)} levels for {len(s) - 1} intervals"
             )
+        levels = np.array(t)
         # written so that NaN fails: it compares false with everything
-        if not all(a <= b for a, b in zip(t, t[1:])):
+        if not (levels[1:] >= levels[:-1]).all():
             raise ValueError("levels must be nondecreasing")
         if not (0.0 <= t[0] and t[-1] <= 1.0):
             raise ValueError("levels must lie within [0, 1]")
@@ -237,7 +239,8 @@ class MatchProfile:
         object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("empty matching profile")
-        if any((not math.isfinite(v)) or v <= 0.0 for v in vals):
+        arr = np.array(vals)
+        if not (np.isfinite(arr) & (arr > 0.0)).all():
             raise ValueError("matching values must be positive and finite")
 
     @property
@@ -437,7 +440,34 @@ def _read_json(path: str | Path, what: str) -> dict:
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write the bytes of ``json.dumps(payload, indent=2) + "\\n"``."""
+    Path(path).write_text(_json_text(payload, "") + "\n", encoding="utf-8")
+
+
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``.
+
+    ``indent`` makes ``json`` use its pure-Python encoder, so dicts with
+    string keys and lists are walked here, and a list of finite floats
+    is joined from ``float.__repr__``, the spelling ``json`` uses.  Every
+    other value, empty containers and float subclasses too, goes to
+    ``json.dumps``; no string it returns holds a raw newline, so padding
+    after each newline nests it.
+    """
+    inner = ",\n" + pad + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        body = inner.join(json.dumps(k) + ": " + _json_text(v, pad + "  ")
+                          for k, v in value.items())
+        return "{" + inner[1:] + body + "\n" + pad + "}"
+    if type(value) in (list, tuple) and value:
+        floats = set(map(type, value)) == {float}
+        body = inner.join(map(float.__repr__, value)) if floats else ""
+        # "nan" and "inf" are the only float spellings with an "n"; json
+        # writes them as NaN and Infinity
+        if not floats or "n" in body:
+            body = inner.join(_json_text(v, pad + "  ") for v in value)
+        return "[" + inner[1:] + body + "\n" + pad + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 # A schema maps each key of a JSON object, dotted for a nested object and
@@ -600,6 +630,8 @@ class QuestionDistribution:
         object.__setattr__(self, "probabilities", probs)
         if len(probs) != len(self.questions):
             raise ValueError("one probability per question required")
+        if len(set(self.questions)) != len(self.questions):
+            raise ValueError("duplicate question ids")
         # written so that NaN fails: it compares false with everything
         if not all(p >= 0.0 for p in probs):
             raise ValueError("probabilities must be nonnegative")

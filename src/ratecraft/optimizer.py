@@ -127,21 +127,19 @@ def equalize_chain(
         raise ValueError("need 0 <= lo < hi <= 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    gv = g.values if isinstance(g, MatchProfile) else tuple(float(x) for x in g)
-    if len(gv) != count + 2:
-        raise ValueError(f"need {count + 2} matching entries, got {len(gv)}")
-    if any(x <= 0.0 for x in gv):
+    gw = np.array(g.values if isinstance(g, MatchProfile) else tuple(map(float, g)))
+    if len(gw) != count + 2:
+        raise ValueError(f"need {count + 2} matching entries, got {len(gw)}")
+    if (gw <= 0.0).any():
         raise ValueError("matching intensities must be positive")
 
     edges = np.arcsin(np.sqrt([lo, hi]))
     phi = np.linspace(edges[0], edges[1], count + 2)[1:-1]
-    if all(x == gv[0] for x in gv):
+    if (gw == gw[0]).all():
         return (np.sin(phi) ** 2).tolist()
 
     # scipy.linalg is imported here so that constant matching never loads it
     from scipy.linalg import solve_banded
-
-    gw = np.array(gv)
 
     def chain(angles: np.ndarray):
         # levels, their complements and pair differences, all from angles
@@ -253,13 +251,13 @@ def double_levels(
     """
     if g is not None and not g.is_constant:
         raise ValueError("level doubling requires constant matching intensity")
-    t = beta.t if isinstance(beta, StepBeta) else tuple(float(x) for x in beta)
+    t = np.array(beta.t if isinstance(beta, StepBeta) else tuple(map(float, beta)))
     M = len(t)
     if M < 2:
         raise ValueError("need at least two levels")
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("levels must run from 0 to 1")
-    if any(b <= a for a, b in zip(t, t[1:])):
+    if (t[1:] <= t[:-1]).any():
         raise ValueError("levels must be strictly increasing")
 
     phi = np.arcsin(np.sqrt(t))

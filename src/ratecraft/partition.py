@@ -57,7 +57,8 @@ def equispaced_partition(M: int) -> Partition:
     """M intervals of equal width."""
     if M < 1:
         raise ValueError("M must be at least 1")
-    return Partition(tuple(i / M for i in range(M + 1)))
+    # numpy divides exactly as Python's i / M does, bit for bit
+    return Partition((np.arange(M + 1) / M).tolist())
 
 
 def _breakpoints(partition: Partition | Sequence[float]) -> tuple[float, ...]:

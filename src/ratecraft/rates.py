@@ -282,9 +282,9 @@ def numeric_pairwise_rate(
 
 def _levels_and_g(
     beta: StepBeta | Sequence[float], g: MatchProfile | Sequence[float]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    levels = beta.t if isinstance(beta, StepBeta) else tuple(float(x) for x in beta)
-    weights = g.values if isinstance(g, MatchProfile) else tuple(float(x) for x in g)
+) -> tuple[np.ndarray, np.ndarray]:
+    levels = beta.t if isinstance(beta, StepBeta) else tuple(map(float, beta))
+    weights = g.values if isinstance(g, MatchProfile) else tuple(map(float, g))
     if len(weights) != len(levels):
         raise ValueError(
             f"matching profile has {len(weights)} entries for {len(levels)} levels"
@@ -297,15 +297,15 @@ def _levels_and_g(
     w = np.array(weights)
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise ValueError("matching intensities must be positive and finite")
-    return levels, weights
+    return t, w
 
 
 def adjacent_rates(
     beta: StepBeta | Sequence[float], g: MatchProfile | Sequence[float]
 ) -> list[float]:
     """Exponent of every adjacent level pair, bottom to top."""
-    levels, weights = _levels_and_g(beta, g)
-    return pair_rates(levels[:-1], levels[1:], weights[:-1], weights[1:]).tolist()
+    t, w = _levels_and_g(beta, g)
+    return pair_rates(t[:-1], t[1:], w[:-1], w[1:]).tolist()
 
 
 def overall_rate(
@@ -336,7 +336,7 @@ def pair_report(
     beta: StepBeta | Sequence[float], g: MatchProfile | Sequence[float]
 ) -> list[PairRate]:
     """Per-pair breakdown used by diagnostics and the command line."""
-    levels, weights = _levels_and_g(beta, g)
+    levels, weights = (x.tolist() for x in _levels_and_g(beta, g))
     rates = adjacent_rates(levels, weights)
     out = []
     for i, rate in enumerate(rates):

@@ -212,13 +212,17 @@ def write_ratings_csv(path: str | Path, ratings: Iterable[Rating]) -> None:
 
 
 def read_qualities_csv(path: str | Path) -> dict[str, float]:
-    """Rows of ``item_id,theta``."""
+    """Rows of ``item_id,theta``, each theta strictly inside (0, 1)."""
     out: dict[str, float] = {}
 
     def add(row: list[str]) -> None:
         if row[0] in out:
             raise ValueError(f"duplicate item id {row[0]!r}")
-        out[row[0]] = float(row[1])
+        theta = float(row[1])
+        # written so that NaN fails: it compares false with everything
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta must lie strictly inside (0, 1), got {row[1]!r}")
+        out[row[0]] = theta
 
     _read_csv(path, {("item_id", "theta"): add})
     return out

@@ -365,6 +365,21 @@ class TestEstimatePsi:
         )
         assert code == 1 and "--items" in err
 
+    @pytest.mark.parametrize("theta", ["-1", "nan", "0", "1"])
+    def test_quality_out_of_range_names_file_and_line(self, tmp_path, ratings_file,
+                                                      theta, capsys):
+        qualities = tmp_path / "qualities.csv"
+        qualities.write_text(f"item_id,theta\nb,0.8\na,{theta}\n")
+        out = tmp_path / "psi.csv"
+        code, _, err = run(
+            capsys, "estimate-psi", "--mode", "known", "--ratings",
+            str(ratings_file), "--qualities", str(qualities), "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {qualities}:3: ") and err.count("\n") == 1
+        assert "strictly inside (0, 1)" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_step_design_series_and_summary(self, design_file, tmp_path, capsys):

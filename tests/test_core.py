@@ -17,6 +17,7 @@ from ratecraft.core import (
     QuestionBank,
     QuestionDistribution,
     StepBeta,
+    _write_json,
     load_design,
     normalize_weight,
     save_design,
@@ -508,6 +509,10 @@ class TestQuestionDistribution:
         with pytest.raises(ValueError):
             QuestionDistribution(("a",), (0.5, 0.5), None)
 
+    def test_rejects_duplicate_questions(self):
+        with pytest.raises(ValueError, match="duplicate question ids"):
+            QuestionDistribution(("a", "a"), (0.25, 0.75), None)
+
 
 class TestDesignFiles:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -556,3 +561,135 @@ class TestDesignFiles:
         beta = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             save_design(tmp_path / "x.json", beta, MatchProfile.uniform(3), "kendall")
+
+
+# Floats that json spells like float.__repr__, and values that json writes
+# differently or that are no exact float: the writer must fall back on them.
+_REPR_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ODD_ITEMS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.builds(np.float64, _REPR_FLOATS),
+)
+_FLOAT_LISTS = st.lists(_REPR_FLOATS, max_size=6) | st.lists(_REPR_FLOATS | _ODD_ITEMS, max_size=6)
+_LEAVES = st.one_of(
+    _REPR_FLOATS, _ODD_ITEMS, st.none(), st.text(max_size=4),
+    st.sampled_from(["\u00e9t\u00e9", "\u03b8", "\U0001f600", "a\nb", '"']),
+    _FLOAT_LISTS, st.builds(tuple, _FLOAT_LISTS),
+)
+_ANY_KEYS = st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(), st.none())
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.builds(tuple, st.lists(inner, max_size=4)),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(_ANY_KEYS, inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "payload.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_PAYLOADS)
+def test_write_json_gives_the_bytes_of_json_dumps(json_path, payload):
+    _write_json(json_path, payload)
+    assert json_path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def test_write_json_gives_the_bytes_of_json_dumps_for_a_design(tmp_path):
+    from ratecraft.optimizer import nested_bisection
+
+    result = nested_bisection(300, MatchProfile.from_kind("linear", np.linspace(0, 1, 301)))
+    path = tmp_path / "design.json"
+    save_design(path, result.beta, result.g, "kendall", result.rate, result.residual)
+    payload = json.loads(path.read_bytes())
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _partition(s):
+    from ratecraft.partition import Partition
+
+    return Partition(s)
+
+
+def _equalize(g):
+    from ratecraft.optimizer import equalize_chain
+
+    return equalize_chain(0.0, 1.0, 2, g)
+
+
+def _rates(t, g=None):
+    from ratecraft.rates import adjacent_rates
+
+    return adjacent_rates(t, (1.0,) * len(t) if g is None else g)
+
+
+def _double(t):
+    from ratecraft.optimizer import double_levels
+
+    return double_levels(t)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("check, message", [
+    # breakpoints
+    (lambda: _partition((0.0, _NAN, 1.0)), "breakpoints must be finite"),
+    (lambda: _partition((0.0, _INF, 1.0)), "breakpoints must be finite"),
+    (lambda: _partition((0.0, 0.5, 0.5, 1.0)), "breakpoints must be strictly increasing"),
+    (lambda: _partition((0.0,)), "need at least one interval (two breakpoints)"),
+    (lambda: StepBeta((0.0, _NAN, 1.0), (0.2, 0.5)), "breakpoints must be finite"),
+    # step function levels
+    (lambda: StepBeta((0.0, 0.5, 1.0), (_NAN, 0.5)), "levels must be nondecreasing"),
+    (lambda: StepBeta((0.0, 0.5, 1.0), (0.5, _NAN)), "levels must be nondecreasing"),
+    (lambda: StepBeta((0.0, 1.0), (_NAN,)), "levels must lie within [0, 1]"),
+    (lambda: StepBeta((0.0, 0.5, 1.0), (0.5, _INF)), "levels must lie within [0, 1]"),
+    (lambda: StepBeta((0.0, 0.5, 1.0), (0.6, 0.5)), "levels must be nondecreasing"),
+    (lambda: StepBeta((0.0, 0.5, 1.0), (0.5, 0.5)), None),
+    (lambda: StepBeta((0.0, 0.5, 1.0), (0.5,)), "got 1 levels for 2 intervals"),
+    # matching profile
+    (lambda: MatchProfile("table", (1.0, _NAN)), "matching values must be positive and finite"),
+    (lambda: MatchProfile("table", (1.0, _INF)), "matching values must be positive and finite"),
+    (lambda: MatchProfile("table", (1.0, 0.0)), "matching values must be positive and finite"),
+    (lambda: MatchProfile("table", (1.0, 1.0)), None),
+    (lambda: MatchProfile("table", ()), "empty matching profile"),
+    # the level solver's matching entries; NaN and inf reach the banded solve
+    (lambda: _equalize((1.0, _NAN, 1.0, 1.0)), "array must not contain infs or NaNs"),
+    (lambda: _equalize((1.0, _INF, 1.0, 1.0)), "array must not contain infs or NaNs"),
+    (lambda: _equalize((1.0, 0.0, 1.0, 1.0)), "matching intensities must be positive"),
+    (lambda: _equalize((2.0, 2.0, 2.0, 2.0)), None),
+    (lambda: _equalize((1.0, 1.0, 1.0)), "need 4 matching entries, got 3"),
+    # adjacent rates of a level vector
+    (lambda: _rates((0.0, _NAN, 1.0)), "levels must be nondecreasing within [0, 1]"),
+    (lambda: _rates((0.0, _INF, 1.0)), "levels must be nondecreasing within [0, 1]"),
+    (lambda: _rates((0.0, 0.6, 0.5, 1.0)), "levels must be nondecreasing within [0, 1]"),
+    (lambda: _rates((0.0, 0.5, 0.5, 1.0)), None),
+    (lambda: _rates((0.5,)), "need at least two levels"),
+    (lambda: _rates((0.0, 1.0), (1.0,)), "matching profile has 1 entries for 2 levels"),
+    (lambda: _rates((0.0, 1.0), (1.0, _NAN)), "matching intensities must be positive and finite"),
+    (lambda: _rates((0.0, 1.0), (1.0, _INF)), "matching intensities must be positive and finite"),
+    # level doubling; a NaN level passes its check and fails in the step function
+    (lambda: _double((0.0, _NAN, 1.0)), "levels must be nondecreasing"),
+    (lambda: _double((0.0, _INF, 1.0)), "levels must be strictly increasing"),
+    (lambda: _double((0.0, 0.5, 0.5, 1.0)), "levels must be strictly increasing"),
+    (lambda: _double((0.0,)), "need at least two levels"),
+    (lambda: _double((0.0, 0.5)), "levels must run from 0 to 1"),
+])
+def test_vector_checks_keep_their_messages(check, message):
+    if message is None:
+        check()
+        return
+    with pytest.raises(ValueError) as err, np.errstate(all="ignore"):
+        check()
+    assert str(err.value) == message

@@ -172,6 +172,7 @@ def corrupt(valid: bytes, fmt: str, change: tuple) -> bytes:
 
 @settings(max_examples=150, deadline=None)
 @given(case=st.sampled_from(sorted(COMMANDS)).flatmap(_corruption))
+@example(case=("mix", ("set", "questions.1", "a")))
 @example(case=("mix", ("set", "probabilities", 5)))
 @example(case=("mix", ("set", "questions", 5)))
 @example(case=("design", ("drop", "M")))
@@ -201,3 +202,18 @@ def test_corrupted_file_never_escapes_main(files, case):
             assert err.count("\n") + len(shown) == 1, (argv, err, shown)
             assert err.startswith("error: " if code == 1 else "solver failed: "), err
             assert not out.exists(), argv
+
+
+def test_duplicate_question_ids_name_the_mix_file(files, tmp_path, capsys):
+    """A mix file listing one question twice fails where it is read, with
+    an error naming the file, not later in the simulator."""
+    payload = json.loads(files["mix"].read_bytes())
+    payload["questions"][1] = payload["questions"][0]
+    bad = tmp_path / "dup-mix.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    argv = [arg.format(f=bad, o=out, **files) for arg in COMMANDS["mix"][0]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: question mix {str(bad)!r}: duplicate question ids")
+    assert err.count("\n") == 1 and not out.exists()
