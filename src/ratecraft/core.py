@@ -289,6 +289,7 @@ class WeightSpec:
     kind: str
     constant: float
     raw: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
+    _tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in WEIGHT_KINDS:
@@ -317,29 +318,46 @@ class WeightSpec:
         t = np.asarray(theta, dtype=float)
         return np.array(_NAMED_WEIGHTS[self.kind].P(t), dtype=float)
 
+    def _table(self, grid: int) -> np.ndarray:
+        """The raw mass table at ``grid``, built on first use and kept."""
+        if grid not in self._tables:
+            self._tables[grid] = _mass_table(self.raw, grid)
+        return self._tables[grid]
+
     def quadrature_integral(self, grid: int = 1000) -> float:
-        """Integral over {theta1 > theta2} by composite midpoint quadrature
-        on ``grid`` cells per side (see :func:`_midpoint_mass`)."""
-        return float(self.constant * _midpoint_mass(self.raw, 0.0, 1.0, grid))
+        """Integral over {theta1 > theta2} by the midpoint rule on ``grid``
+        cells per side: the total of the grid's mass table, normalized."""
+        return float(self.constant * self._table(grid)[0, grid])
 
 
-def _midpoint_mass(
-    raw: Callable[[np.ndarray, np.ndarray], np.ndarray], a: float, b: float, cells: int
-) -> float:
-    """Raw weight mass of {a <= theta2 < theta1 <= b}, unnormalized, by
-    composite midpoint quadrature on ``cells`` cells per side.
+def _mass_table(
+    raw: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: int
+) -> np.ndarray:
+    """T[a, b], a <= b: the raw mass of {a/grid <= theta2 < theta1 <= b/grid}
+    by the midpoint rule, which is exact for weights affine in every cell.
 
-    Cells below the diagonal use their midpoint; diagonal cells contribute
-    their lower-triangular half, evaluated at its centroid.  Exact for
-    weights that are affine within every cell.
+    ``raw`` is called once per cell and only where theta1 > theta2: at the
+    midpoint of a cell below the diagonal, and at the centroid of a
+    diagonal cell's lower half.  Column b + 1 is column b plus row b's
+    running sum of cells taken from the diagonal leftward, so every row
+    of T is nondecreasing in b even in floating point.  T is the
+    transpose of a C-ordered array; entries with a > b are 0.
     """
-    h = (b - a) / cells
-    mids = a + (np.arange(cells) + 0.5) * h
-    w = np.asarray(raw(mids[:, None], mids[None, :]), dtype=float)
-    lower = np.tril(w, k=-1).sum() * h * h
-    base = a + np.arange(cells) * h
-    diag = np.asarray(raw(base + 2.0 * h / 3.0, base + h / 3.0), dtype=float)
-    return lower + diag.sum() * (h * h / 2.0)
+    h = 1.0 / grid
+    mids = (np.arange(grid) + 0.5) * h
+    base = np.arange(grid) * h
+    upper, lower = base + 2.0 * h / 3.0, base + h / 3.0
+    by_column = np.zeros((grid + 1, grid + 1))
+    for b in range(grid):
+        theta1 = np.append(np.full(b, mids[b]), upper[b])
+        cells = np.asarray(raw(theta1, np.append(mids[:b], lower[b])), dtype=float) * (h * h)
+        cells[b] *= 0.5
+        if not (np.isfinite(cells) & (cells >= 0.0)).all():
+            if (cells < 0.0).any():
+                raise ValueError("custom weight must be nonnegative on theta1 > theta2")
+            raise ValueError("weight must be finite on the grid")
+        by_column[b + 1, : b + 1] = by_column[b, : b + 1] + np.cumsum(cells[::-1])[::-1]
+    return by_column.T
 
 
 def normalize_weight(
@@ -350,9 +368,10 @@ def normalize_weight(
     """Build a normalized :class:`WeightSpec`.
 
     Named kinds ignore ``raw`` and use their analytic constants.  A custom
-    weight supplies ``raw`` (vectorized, defined for theta1 >= theta2,
-    nonnegative, strictly positive somewhere) and is normalized so its
-    midpoint-quadrature integral at the given grid is exactly 1.
+    weight supplies ``raw`` (vectorized, defined for theta1 > theta2,
+    nonnegative, strictly positive somewhere) and is normalized so the
+    total of its mass table at ``grid`` (see :func:`_mass_table`), which
+    the weight keeps, is exactly 1.
     """
     if kind in _NAMED_WEIGHTS:
         return WeightSpec(kind, _NAMED_WEIGHTS[kind].constant, _NAMED_WEIGHTS[kind].raw)
@@ -360,15 +379,11 @@ def normalize_weight(
         raise ValueError(f"unknown weight kind {kind!r}")
     if raw is None:
         raise ValueError("custom weight needs a raw callable")
-    h = 1.0 / grid
-    mids = (np.arange(grid) + 0.5) * h
-    sample = np.asarray(raw(mids[:, None], mids[None, :]), dtype=float)
-    if np.any(np.tril(sample, k=-1) < 0.0):
-        raise ValueError("custom weight must be nonnegative on theta1 > theta2")
-    total = float(_midpoint_mass(raw, 0.0, 1.0, grid))
+    table = _mass_table(raw, grid)
+    total = float(table[0, grid])
     if not math.isfinite(total) or total <= 0.0:
         raise ValueError("custom weight must have positive integral")
-    return WeightSpec("custom", 1.0 / total, raw)
+    return WeightSpec("custom", 1.0 / total, raw, {grid: table})
 
 
 # File formats.  Every file the package reads or writes goes through the

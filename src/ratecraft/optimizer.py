@@ -47,7 +47,7 @@ class SolverConfig:
     that keep the levels strictly increasing within one iteration.  All
     three apply only to the Newton solve, which constant matching skips.
     residual_tol is the allowed spread among adjacent pair rates in a
-    solved design, measured relative to max(1, achieved rate).
+    solved design, scaled by max(1, largest adjacent rate).
     use_last_level_bound is accepted for compatibility and has no effect.
     """
 
@@ -130,8 +130,8 @@ def equalize_chain(
     gw = np.array(g.values if isinstance(g, MatchProfile) else tuple(map(float, g)))
     if len(gw) != count + 2:
         raise ValueError(f"need {count + 2} matching entries, got {len(gw)}")
-    if (gw <= 0.0).any():
-        raise ValueError("matching intensities must be positive")
+    if not (np.isfinite(gw) & (gw > 0.0)).all():
+        raise ValueError("matching intensities must be positive and finite")
 
     edges = np.arcsin(np.sqrt([lo, hi]))
     phi = np.linspace(edges[0], edges[1], count + 2)[1:-1]
@@ -257,7 +257,8 @@ def double_levels(
         raise ValueError("need at least two levels")
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("levels must run from 0 to 1")
-    if (t[1:] <= t[:-1]).any():
+    # written so that NaN fails: it compares false with everything
+    if not (t[1:] > t[:-1]).all():
         raise ValueError("levels must be strictly increasing")
 
     phi = np.arcsin(np.sqrt(t))

@@ -11,13 +11,12 @@ over a breakpoint grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import _NAMED_WEIGHTS, WeightSpec, _checked_breakpoints, _midpoint_mass
+from .core import _NAMED_WEIGHTS, WeightSpec, _checked_breakpoints
 
 __all__ = [
     "Partition",
@@ -68,20 +67,25 @@ def _breakpoints(partition: Partition | Sequence[float]) -> tuple[float, ...]:
 
 
 def interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
-    """Normalized mass of pairs with both qualities in [a, b]."""
+    """Normalized mass of pairs with both qualities in [a, b].  A custom
+    weight reads its mass table at ``grid``, so a and b must be multiples
+    of ``1/grid``; named kinds take any a and b."""
     if not 0.0 <= a < b <= 1.0:
         raise ValueError("need 0 <= a < b <= 1")
     named = _NAMED_WEIGHTS.get(w.kind)
     if named is not None:
         return float(named.interval_mass(a, b))
-    cells = max(2, int(math.ceil(grid * (b - a))))
-    return float(w.constant * _midpoint_mass(w.raw, a, b, cells))
+    ka, kb = int(round(a * grid)), int(round(b * grid))
+    if ka / grid != a or kb / grid != b:
+        raise ValueError(f"custom weight needs interval ends on the grid of {grid} cells")
+    return float(w.constant * w._table(grid)[ka, kb])
 
 
 def within_mass(
     w: WeightSpec, partition: Partition | Sequence[float], grid: int = 1000
 ) -> float:
-    """Total weight mass lost to same-interval pairs."""
+    """Total weight mass lost to same-interval pairs; a custom weight
+    needs breakpoints on the grid (see :func:`interval_mass`)."""
     s = _breakpoints(partition)
     return float(sum(interval_mass(w, a, b, grid) for a, b in zip(s, s[1:])))
 
@@ -99,48 +103,25 @@ def asymptotic_value(
 
 
 class _GridMass:
-    """Within mass between grid breakpoints, O(1) or vectorized per query.
+    """Within mass between grid breakpoints, vectorized per query.
 
-    Named kinds evaluate their closed form.  Custom weights are integrated
-    once by midpoint quadrature on the grid; prefix arrays then give any
-    grid-aligned triangle by inclusion-exclusion: the triangle on [a, b]
-    equals the triangle up to b, minus the triangle up to a, minus the
-    rectangle {theta1 in [a, b], theta2 in [0, a]}.
+    Named kinds evaluate their closed form.  Custom weights read the
+    weight's mass table at this grid (see ``core._mass_table``), which
+    gives every grid-aligned triangle directly.
     """
 
     def __init__(self, w: WeightSpec, grid: int):
         self.grid = grid
         self.named = _NAMED_WEIGHTS.get(w.kind)
-        if self.named is not None:
-            return
-        h = 1.0 / grid
-        mids = (np.arange(grid) + 0.5) * h
-        wmat = np.asarray(w.raw(mids[:, None], mids[None, :]), dtype=float) * (
-            w.constant * h * h
-        )
-        if np.any(np.tril(wmat, k=-1) < 0.0):
-            raise ValueError("weight must be nonnegative below the diagonal")
-        strict_rows = np.array([wmat[i, :i].sum() for i in range(grid)])
-        base = np.arange(grid) * h
-        diag_cells = (
-            np.asarray(w.raw(base + 2.0 * h / 3.0, base + h / 3.0), dtype=float)
-            * (w.constant * h * h / 2.0)
-        )
-        # triangle prefix: strict lower cells plus diagonal halves
-        self._tri = np.concatenate([[0.0], np.cumsum(strict_rows + diag_cells)])
-        self._rect = np.zeros((grid + 1, grid + 1))
-        self._rect[1:, 1:] = np.cumsum(np.cumsum(wmat, axis=0), axis=1)
-        # the sweep's tile bounds assume every mass is a number
-        if not (np.isfinite(self._tri).all() and np.isfinite(self._rect).all()):
-            raise ValueError("weight must be finite on the grid")
+        if self.named is None:
+            self.constant = w.constant
+            self.table = w._table(grid)
 
     def span(self, a: int, bs: np.ndarray) -> np.ndarray:
         """Mass of triangles from fixed grid index a to each index in bs."""
         if self.named is not None:
             return self.named.interval_mass(a / self.grid, bs / self.grid)
-        tri = self._tri[bs] - self._tri[a]
-        rect = self._rect[bs, a] - self._rect[a, a]
-        return tri - rect
+        return self.constant * self.table[a, bs]
 
 
 def _mass_tiles(mass: _GridMass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -664,10 +664,10 @@ _NAN, _INF = math.nan, math.inf
     (lambda: MatchProfile("table", (1.0, 0.0)), "matching values must be positive and finite"),
     (lambda: MatchProfile("table", (1.0, 1.0)), None),
     (lambda: MatchProfile("table", ()), "empty matching profile"),
-    # the level solver's matching entries; NaN and inf reach the banded solve
-    (lambda: _equalize((1.0, _NAN, 1.0, 1.0)), "array must not contain infs or NaNs"),
-    (lambda: _equalize((1.0, _INF, 1.0, 1.0)), "array must not contain infs or NaNs"),
-    (lambda: _equalize((1.0, 0.0, 1.0, 1.0)), "matching intensities must be positive"),
+    # the level solver's matching entries
+    (lambda: _equalize((1.0, _NAN, 1.0, 1.0)), "matching intensities must be positive and finite"),
+    (lambda: _equalize((1.0, _INF, 1.0, 1.0)), "matching intensities must be positive and finite"),
+    (lambda: _equalize((1.0, 0.0, 1.0, 1.0)), "matching intensities must be positive and finite"),
     (lambda: _equalize((2.0, 2.0, 2.0, 2.0)), None),
     (lambda: _equalize((1.0, 1.0, 1.0)), "need 4 matching entries, got 3"),
     # adjacent rates of a level vector
@@ -679,8 +679,8 @@ _NAN, _INF = math.nan, math.inf
     (lambda: _rates((0.0, 1.0), (1.0,)), "matching profile has 1 entries for 2 levels"),
     (lambda: _rates((0.0, 1.0), (1.0, _NAN)), "matching intensities must be positive and finite"),
     (lambda: _rates((0.0, 1.0), (1.0, _INF)), "matching intensities must be positive and finite"),
-    # level doubling; a NaN level passes its check and fails in the step function
-    (lambda: _double((0.0, _NAN, 1.0)), "levels must be nondecreasing"),
+    # level doubling
+    (lambda: _double((0.0, _NAN, 1.0)), "levels must be strictly increasing"),
     (lambda: _double((0.0, _INF, 1.0)), "levels must be strictly increasing"),
     (lambda: _double((0.0, 0.5, 0.5, 1.0)), "levels must be strictly increasing"),
     (lambda: _double((0.0,)), "need at least two levels"),

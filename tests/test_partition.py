@@ -237,8 +237,9 @@ class TestOptimizePartition:
         assert part.M == 200
 
     def test_rejects_weight_not_finite_on_grid(self):
-        # finite where normalize_weight samples it, NaN on the diagonal
-        w = normalize_weight("custom", raw=lambda a, b: np.where(a == b, np.nan, a - b))
+        # finite where normalize_weight samples it at grid 1000, NaN on the
+        # strict-lower midpoints of row 25 at grid 50
+        w = normalize_weight("custom", raw=lambda a, b: np.where(a == 0.51, np.nan, a - b))
         with pytest.raises(ValueError, match="finite"):
             optimize_partition(w, 3, grid=50)
 
@@ -306,3 +307,80 @@ class TestOptimizePartition:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             optimize_partition(normalize_weight("kendall"), 3, method="annealing")
+
+
+# the custom weights the dense-oracle cases above solve
+CUSTOM_RAWS = {
+    "(a-b)(1+ab)": lambda a, b: (a - b) * (1 + a * b),
+    "(a-b)^2": lambda a, b: (a - b) ** 2,
+    "a-b": lambda a, b: a - b,
+}
+
+
+class CountingRaw:
+    """A raw weight that counts its points and is never asked about
+    theta1 < theta2."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.points = 0
+
+    def __call__(self, a, b):
+        assert np.all(a >= b)
+        self.points += np.broadcast(a, b).size
+        return self.raw(a, b)
+
+
+class TestCustomMassTable:
+    def test_raw_evaluated_once_per_cell_below_the_diagonal(self):
+        G = 1000
+        raw = CountingRaw(CUSTOM_RAWS["(a-b)(1+ab)"])
+        w = normalize_weight("custom", raw=raw, grid=G)
+        part = optimize_partition(w, 20, G)
+        within_mass(w, part, G)
+        assert raw.points <= G * (G + 1) // 2
+
+    def test_within_mass_is_the_dp_cost(self):
+        w, M, G = custom_weight(), 20, 400
+        part = optimize_partition(w, M, G)
+        mass = _GridMass(w, G)
+        oracle = dense_dp(w, M, G)
+        assert part.s == oracle
+        bounds = [round(v * G) for v in oracle]
+        cost = sum(float(mass.span(a, np.array([b]))[0]) for a, b in zip(bounds, bounds[1:]))
+        assert within_mass(w, part, G) == pytest.approx(cost, rel=1e-14, abs=0.0)
+        for a, b in zip(bounds, bounds[1:]):
+            assert interval_mass(w, a / G, b / G, G) == mass.span(a, np.array([b]))[0]
+
+    def test_weight_undefined_above_the_diagonal(self):
+        with np.errstate(invalid="raise"):
+            w = normalize_weight("custom", raw=lambda a, b: np.sqrt(a - b))
+            part = optimize_partition(w, 3, 60)
+        assert part.M == 3
+
+    @pytest.mark.parametrize("raw", CUSTOM_RAWS.values(), ids=CUSTOM_RAWS)
+    def test_table_rows_never_decrease(self, raw):
+        for G in (120, 400):
+            table = normalize_weight("custom", raw=raw, grid=G)._table(G)
+            assert (np.diff(table, axis=1) >= 0.0).all()
+
+    def test_interval_ends_must_lie_on_the_grid(self):
+        w = custom_weight()
+        assert interval_mass(w, 0.2, 0.7, grid=1000) > 0.0
+        with pytest.raises(ValueError, match="grid of 1000"):
+            interval_mass(w, 0.2, 0.7005, grid=1000)
+        with pytest.raises(ValueError, match="grid of 400"):
+            within_mass(w, (0.0, 0.3333, 1.0), grid=400)
+
+    def test_dp_memory(self):
+        # measured peak 5.13 MiB: the tiled table, the per-tile minima and
+        # one layer's bounds, read from the mass table normalize_weight
+        # kept; the limit allows 10% more
+        w = custom_weight()
+        tracemalloc.start()
+        try:
+            optimize_partition(w, 20, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.65 * 2**20
