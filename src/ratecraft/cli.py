@@ -229,16 +229,20 @@ def _figure_beta_panel(args) -> None:
     ))
 
 
-def _figure_h_panel(args) -> None:
+def _fitted_designs(args):
+    """The fixture bank, the mix fitted to the kendall/uniform design, and that
+    design with the step functions the fitted and the uniform mix induce."""
     bank = fixture_bank()
     interp = fixture_interpolator()
     _, _, result = _solve_design(args.M, "kendall", "uniform", args.grid)
     fitted = fit_h(result.beta, bank)
-    curves = {
-        "beta": result.beta,
-        "fitted": induced_beta(fitted, bank, interp),
-        "naive": induced_beta(naive_uniform_h(bank), bank, interp),
-    }
+    induced = (induced_beta(h, bank, interp) for h in (fitted, naive_uniform_h(bank)))
+    return bank, fitted, (result.beta, *induced)
+
+
+def _figure_h_panel(args) -> None:
+    bank, fitted, betas = _fitted_designs(args)
+    curves = dict(zip(("beta", "fitted", "naive"), betas))
     thetas = np.linspace(0.0, 1.0, 1001)
     rows = [[name, repr(float(th)), repr(float(v))]
             for name, fn in curves.items() for th, v in zip(thetas, fn(thetas))]
@@ -249,17 +253,8 @@ def _figure_h_panel(args) -> None:
 
 
 def _figure_sim_panel(args) -> None:
-    bank = fixture_bank()
-    interp = fixture_interpolator()
-    _, _, result = _solve_design(args.M, "kendall", "uniform", args.grid)
-    fitted = fit_h(result.beta, bank)
-    designs = [
-        ("optimal", result.beta),
-        ("fitted", induced_beta(fitted, bank, interp)),
-        ("naive", induced_beta(naive_uniform_h(bank), bank, interp)),
-    ]
     rows = []
-    for label, design in designs:
+    for label, design in zip(("optimal", "fitted", "naive"), _fitted_designs(args)[2]):
         cfg = SimConfig(
             design=design,
             steps=args.steps,

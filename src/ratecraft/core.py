@@ -127,9 +127,11 @@ WEIGHT_KINDS = (*_NAMED_WEIGHTS, "custom")
 
 
 def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
+    # float(x) is x for a float x: a typed field shares the caller's floats
     return tuple(map(float, values))
 
 
+# One check per design vector; np.fromiter rejects a nested vector as float() does.
 def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
     """Interval breakpoints as floats, finite with 0 = s[0] < ... < s[-1] = 1."""
     s = _as_float_tuple(values)
@@ -143,6 +145,38 @@ def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
     if not (arr[1:] > arr[:-1]).all():
         raise ValueError("breakpoints must be strictly increasing")
     return s
+
+
+def _checked_levels(beta: StepBeta | Iterable[float]) -> np.ndarray:
+    """Rating levels as a float array, nondecreasing within [0, 1]; a
+    :class:`StepBeta`'s levels were checked when it was built."""
+    if isinstance(beta, StepBeta):
+        return np.array(beta.t)
+    t = np.fromiter(beta, dtype=float)
+    # written so that NaN fails: it compares false with everything
+    if not (t[1:] >= t[:-1]).all():
+        raise ValueError("levels must be nondecreasing")
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise ValueError("levels must lie within [0, 1]")
+    return t
+
+
+def _checked_matching(g: MatchProfile | Iterable[float]) -> np.ndarray:
+    """Matching intensities as a float array, positive and finite; a
+    :class:`MatchProfile`'s values were checked when it was built."""
+    if isinstance(g, MatchProfile):
+        return np.array(g.values)
+    w = np.fromiter(g, dtype=float)
+    if not (np.isfinite(w) & (w > 0.0)).all():
+        raise ValueError("matching intensities must be positive and finite")
+    return w
+
+
+def _checked_grid(grid: int) -> int:
+    """A grid's cell count: an integer of at least 1, which a bool is not."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise ValueError(f"grid must be an integer of at least 1, got {grid!r}")
+    return int(grid)
 
 
 def _checked_qualities(theta) -> np.ndarray:
@@ -170,20 +204,12 @@ class StepBeta:
     t: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        s = _checked_breakpoints(self.s)
-        t = _as_float_tuple(self.t)
+        s, t = _checked_breakpoints(self.s), _as_float_tuple(self.t)
+        if len(t) != len(s) - 1:
+            raise ValueError(f"got {len(t)} levels for {len(s) - 1} intervals")
+        _checked_levels(t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
-        if len(t) != len(s) - 1:
-            raise ValueError(
-                f"got {len(t)} levels for {len(s) - 1} intervals"
-            )
-        levels = np.array(t)
-        # written so that NaN fails: it compares false with everything
-        if not (levels[1:] >= levels[:-1]).all():
-            raise ValueError("levels must be nondecreasing")
-        if not (0.0 <= t[0] and t[-1] <= 1.0):
-            raise ValueError("levels must lie within [0, 1]")
 
     @property
     def M(self) -> int:
@@ -225,7 +251,7 @@ class MatchProfile:
     """Per-interval matching intensity.
 
     ``values[i]`` is the relative rate at which items in interval ``i``
-    are matched; all entries are positive.  ``kind`` records how the
+    are matched; all entries are positive and finite.  ``kind`` records how the
     profile was built so a design file can be reproduced.
     """
 
@@ -236,12 +262,10 @@ class MatchProfile:
         if self.kind not in MATCH_KINDS:
             raise ValueError(f"unknown matching kind {self.kind!r}")
         vals = _as_float_tuple(self.values)
-        object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("empty matching profile")
-        arr = np.array(vals)
-        if not (np.isfinite(arr) & (arr > 0.0)).all():
-            raise ValueError("matching values must be positive and finite")
+        _checked_matching(vals)
+        object.__setattr__(self, "values", vals)
 
     @property
     def M(self) -> int:
@@ -264,16 +288,14 @@ class MatchProfile:
 
     @staticmethod
     def from_kind(kind: str, breakpoints: Sequence[float]) -> "MatchProfile":
-        """Sample a formula kind's intensity once per interval.
+        """Sample a formula kind's intensity once per interval of checked breakpoints.
 
         Each interval gets the intensity at its left endpoint, which for
         the nondecreasing formulas is the interval's infimum.
         """
         if kind not in _MATCH_INTENSITY:
             raise ValueError(f"cannot build kind {kind!r} without explicit values")
-        left = np.array(breakpoints[:-1], dtype=float)
-        if left.size == 0:
-            raise ValueError("need at least two breakpoints")
+        left = np.array(_checked_breakpoints(breakpoints)[:-1])
         return MatchProfile(kind, _MATCH_INTENSITY[kind](left).tolist())
 
 
@@ -320,6 +342,7 @@ class WeightSpec:
 
     def _table(self, grid: int) -> np.ndarray:
         """The raw mass table at ``grid``, built on first use and kept."""
+        grid = _checked_grid(grid)
         if grid not in self._tables:
             self._tables[grid] = _mass_table(self.raw, grid)
         return self._tables[grid]
@@ -379,6 +402,7 @@ def normalize_weight(
         raise ValueError(f"unknown weight kind {kind!r}")
     if raw is None:
         raise ValueError("custom weight needs a raw callable")
+    grid = _checked_grid(grid)
     table = _mass_table(raw, grid)
     total = float(table[0, grid])
     if not math.isfinite(total) or total <= 0.0:

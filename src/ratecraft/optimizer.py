@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatchProfile, StepBeta
-from .partition import Partition, equispaced_partition
+from .core import MatchProfile, StepBeta, _checked_levels, _checked_matching
+from .partition import Partition, _breakpoints, equispaced_partition
 from .rates import adjacent_rates, pair_rates
 
 __all__ = [
@@ -112,7 +112,7 @@ def equalize_chain(
         The fixed bottom and top levels, ``0 <= lo < hi <= 1``.
     count : int
         Number of interior levels to place.
-    g : sequence of float
+    g : sequence of float or MatchProfile
         Matching intensity per level, bottom to top; ``count + 2``
         entries aligned with ``[lo, t_1, ..., t_count, hi]``.
 
@@ -127,11 +127,9 @@ def equalize_chain(
         raise ValueError("need 0 <= lo < hi <= 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    gw = np.array(g.values if isinstance(g, MatchProfile) else tuple(map(float, g)))
+    gw = _checked_matching(g)
     if len(gw) != count + 2:
         raise ValueError(f"need {count + 2} matching entries, got {len(gw)}")
-    if not (np.isfinite(gw) & (gw > 0.0)).all():
-        raise ValueError("matching intensities must be positive and finite")
 
     edges = np.arcsin(np.sqrt([lo, hi]))
     phi = np.linspace(edges[0], edges[1], count + 2)[1:-1]
@@ -213,12 +211,7 @@ def nested_bisection(
         g = MatchProfile.from_table(g)
     if g.M != M:
         raise ValueError(f"matching profile has {g.M} entries for M={M}")
-    if breakpoints is None:
-        s = equispaced_partition(M).s
-    elif isinstance(breakpoints, Partition):
-        s = breakpoints.s
-    else:
-        s = Partition(tuple(breakpoints)).s
+    s = _breakpoints(equispaced_partition(M) if breakpoints is None else breakpoints)
     if len(s) != M + 1:
         raise ValueError("breakpoints do not match M")
 
@@ -226,13 +219,10 @@ def nested_bisection(
         beta = StepBeta(s, (0.0, 1.0))
         return SolverResult(beta, g, math.inf, 0.0, degenerate=True)
 
-    interior = equalize_chain(0.0, 1.0, M - 2, g.values, cfg)
-    levels = (0.0, *interior, 1.0)
-    rates = adjacent_rates(levels, g)
-    rate = min(rates)
-    residual = max(rates) - rate
-    beta = StepBeta(s, levels)
-    return SolverResult(beta, g, rate, residual)
+    interior = equalize_chain(0.0, 1.0, M - 2, g, cfg)
+    beta = StepBeta(s, (0.0, *interior, 1.0))
+    report = verify_equalization(beta, g, cfg)
+    return SolverResult(beta, g, report.rate, report.spread)
 
 
 def double_levels(
@@ -251,13 +241,12 @@ def double_levels(
     """
     if g is not None and not g.is_constant:
         raise ValueError("level doubling requires constant matching intensity")
-    t = np.array(beta.t if isinstance(beta, StepBeta) else tuple(map(float, beta)))
+    t = _checked_levels(beta)
     M = len(t)
     if M < 2:
         raise ValueError("need at least two levels")
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("levels must run from 0 to 1")
-    # written so that NaN fails: it compares false with everything
     if not (t[1:] > t[:-1]).all():
         raise ValueError("levels must be strictly increasing")
 

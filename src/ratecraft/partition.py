@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _NAMED_WEIGHTS, WeightSpec, _checked_breakpoints
+from .core import _NAMED_WEIGHTS, WeightSpec, _checked_breakpoints, _checked_grid
 
 __all__ = [
     "Partition",
@@ -75,10 +75,11 @@ def interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
     named = _NAMED_WEIGHTS.get(w.kind)
     if named is not None:
         return float(named.interval_mass(a, b))
+    table = w._table(grid)  # first, so that a bad grid fails the grid check
     ka, kb = int(round(a * grid)), int(round(b * grid))
     if ka / grid != a or kb / grid != b:
         raise ValueError(f"custom weight needs interval ends on the grid of {grid} cells")
-    return float(w.constant * w._table(grid)[ka, kb])
+    return float(w.constant * table[ka, kb])
 
 
 def within_mass(
@@ -228,8 +229,8 @@ def optimize_partition(
     Raises
     ------
     ValueError
-        If ``grid`` exceeds ``MAX_GRID`` on the dynamic-programming route,
-        or is smaller than ``M``.
+        If ``grid`` on the dynamic-programming route is not an integer of
+        at least 1, exceeds ``MAX_GRID`` or is smaller than ``M``.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -238,6 +239,7 @@ def optimize_partition(
     named = _NAMED_WEIGHTS.get(w.kind)
     if method == "auto" and named is not None and named.equal_width:
         return equispaced_partition(M)
+    grid = _checked_grid(grid)
     if grid > MAX_GRID:
         raise ValueError(
             f"grid {grid} exceeds the limit of {MAX_GRID} for the partition "

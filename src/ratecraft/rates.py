@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatchProfile, StepBeta
+from .core import MatchProfile, StepBeta, _checked_levels, _checked_matching
 
 __all__ = [
     "kl_bernoulli",
@@ -42,6 +42,18 @@ def _check_weight(name: str, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _checked_pair(t_lo, t_hi, g_lo, g_hi) -> tuple[float, float, float, float]:
+    """One level pair's arguments as floats, checked in the order t_lo,
+    t_hi, g_lo, g_hi, then t_lo <= t_hi; the first fault raises."""
+    t_lo = _check_prob("t_lo", t_lo)
+    t_hi = _check_prob("t_hi", t_hi)
+    g_lo = _check_weight("g_lo", g_lo)
+    g_hi = _check_weight("g_hi", g_hi)
+    if t_lo > t_hi:
+        raise ValueError("t_lo must not exceed t_hi")
+    return t_lo, t_hi, g_lo, g_hi
 
 
 def kl_bernoulli(a: float, t: float) -> float:
@@ -83,12 +95,7 @@ def inf_point(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     ``c / (1 + c)`` with ``c`` the geometric mean of the odds, weighted by
     the matching intensities.
     """
-    t_lo = _check_prob("t_lo", t_lo)
-    t_hi = _check_prob("t_hi", t_hi)
-    g_lo = _check_weight("g_lo", g_lo)
-    g_hi = _check_weight("g_hi", g_hi)
-    if t_lo > t_hi:
-        raise ValueError("t_lo must not exceed t_hi")
+    t_lo, t_hi, g_lo, g_hi = _checked_pair(t_lo, t_hi, g_lo, g_hi)
     if t_lo == 0.0 and t_hi == 1.0:
         raise ValueError("objective is infinite everywhere for levels 0 and 1")
     if t_lo == 0.0:
@@ -219,12 +226,7 @@ def pairwise_rate(t_lo: float, t_hi: float, g_lo: float, g_hi: float) -> float:
     when ``t_hi == 1``.  This validates its arguments and evaluates
     :func:`pair_rates`.
     """
-    t_lo = _check_prob("t_lo", t_lo)
-    t_hi = _check_prob("t_hi", t_hi)
-    g_lo = _check_weight("g_lo", g_lo)
-    g_hi = _check_weight("g_hi", g_hi)
-    if t_lo > t_hi:
-        raise ValueError("t_lo must not exceed t_hi")
+    t_lo, t_hi, g_lo, g_hi = _checked_pair(t_lo, t_hi, g_lo, g_hi)
     return float(pair_rates(t_lo, t_hi, g_lo, g_hi)[0])
 
 
@@ -242,12 +244,7 @@ def numeric_pairwise_rate(
     as an independent check on :func:`pairwise_rate`; it never calls the
     closed form.
     """
-    t_lo = _check_prob("t_lo", t_lo)
-    t_hi = _check_prob("t_hi", t_hi)
-    g_lo = _check_weight("g_lo", g_lo)
-    g_hi = _check_weight("g_hi", g_hi)
-    if t_lo > t_hi:
-        raise ValueError("t_lo must not exceed t_hi")
+    t_lo, t_hi, g_lo, g_hi = _checked_pair(t_lo, t_hi, g_lo, g_hi)
     if grid < 2:
         raise ValueError("grid must be at least 2")
 
@@ -283,20 +280,11 @@ def numeric_pairwise_rate(
 def _levels_and_g(
     beta: StepBeta | Sequence[float], g: MatchProfile | Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    levels = beta.t if isinstance(beta, StepBeta) else tuple(map(float, beta))
-    weights = g.values if isinstance(g, MatchProfile) else tuple(map(float, g))
-    if len(weights) != len(levels):
-        raise ValueError(
-            f"matching profile has {len(weights)} entries for {len(levels)} levels"
-        )
-    if len(levels) < 2:
+    t, w = _checked_levels(beta), _checked_matching(g)
+    if len(w) != len(t):
+        raise ValueError(f"matching profile has {len(w)} entries for {len(t)} levels")
+    if len(t) < 2:
         raise ValueError("need at least two levels")
-    t = np.array(levels)
-    if not np.all((t >= 0.0) & (t <= 1.0)) or np.any(t[1:] < t[:-1]):
-        raise ValueError("levels must be nondecreasing within [0, 1]")
-    w = np.array(weights)
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise ValueError("matching intensities must be positive and finite")
     return t, w
 
 
@@ -336,8 +324,9 @@ def pair_report(
     beta: StepBeta | Sequence[float], g: MatchProfile | Sequence[float]
 ) -> list[PairRate]:
     """Per-pair breakdown used by diagnostics and the command line."""
-    levels, weights = (x.tolist() for x in _levels_and_g(beta, g))
-    rates = adjacent_rates(levels, weights)
+    t, w = _levels_and_g(beta, g)
+    rates = pair_rates(t[:-1], t[1:], w[:-1], w[1:]).tolist()
+    levels, weights = t.tolist(), w.tolist()
     out = []
     for i, rate in enumerate(rates):
         t_lo, t_hi = levels[i], levels[i + 1]

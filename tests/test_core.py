@@ -659,11 +659,17 @@ _NAN, _INF = math.nan, math.inf
     (lambda: StepBeta((0.0, 0.5, 1.0), (0.5, 0.5)), None),
     (lambda: StepBeta((0.0, 0.5, 1.0), (0.5,)), "got 1 levels for 2 intervals"),
     # matching profile
-    (lambda: MatchProfile("table", (1.0, _NAN)), "matching values must be positive and finite"),
-    (lambda: MatchProfile("table", (1.0, _INF)), "matching values must be positive and finite"),
-    (lambda: MatchProfile("table", (1.0, 0.0)), "matching values must be positive and finite"),
+    (lambda: MatchProfile("table", (1.0, _NAN)), "matching intensities must be positive and finite"),
+    (lambda: MatchProfile("table", (1.0, _INF)), "matching intensities must be positive and finite"),
+    (lambda: MatchProfile("table", (1.0, 0.0)), "matching intensities must be positive and finite"),
     (lambda: MatchProfile("table", (1.0, 1.0)), None),
     (lambda: MatchProfile("table", ()), "empty matching profile"),
+    # a formula profile's breakpoints
+    (lambda: MatchProfile.from_kind("uniform", (0.0, _NAN, 1.0)), "breakpoints must be finite"),
+    (lambda: MatchProfile.from_kind("uniform", (0.7, 0.2, 0.1)),
+     "breakpoints must start at 0 and end at 1"),
+    (lambda: MatchProfile.from_kind("linear", (0.0, _NAN, 1.0)), "breakpoints must be finite"),
+    (lambda: MatchProfile.from_kind("linear", (0.0, 0.5, 1.0)), None),
     # the level solver's matching entries
     (lambda: _equalize((1.0, _NAN, 1.0, 1.0)), "matching intensities must be positive and finite"),
     (lambda: _equalize((1.0, _INF, 1.0, 1.0)), "matching intensities must be positive and finite"),
@@ -671,17 +677,17 @@ _NAN, _INF = math.nan, math.inf
     (lambda: _equalize((2.0, 2.0, 2.0, 2.0)), None),
     (lambda: _equalize((1.0, 1.0, 1.0)), "need 4 matching entries, got 3"),
     # adjacent rates of a level vector
-    (lambda: _rates((0.0, _NAN, 1.0)), "levels must be nondecreasing within [0, 1]"),
-    (lambda: _rates((0.0, _INF, 1.0)), "levels must be nondecreasing within [0, 1]"),
-    (lambda: _rates((0.0, 0.6, 0.5, 1.0)), "levels must be nondecreasing within [0, 1]"),
+    (lambda: _rates((0.0, _NAN, 1.0)), "levels must be nondecreasing"),
+    (lambda: _rates((0.0, _INF, 1.0)), "levels must be nondecreasing"),
+    (lambda: _rates((0.0, 0.6, 0.5, 1.0)), "levels must be nondecreasing"),
     (lambda: _rates((0.0, 0.5, 0.5, 1.0)), None),
     (lambda: _rates((0.5,)), "need at least two levels"),
     (lambda: _rates((0.0, 1.0), (1.0,)), "matching profile has 1 entries for 2 levels"),
     (lambda: _rates((0.0, 1.0), (1.0, _NAN)), "matching intensities must be positive and finite"),
     (lambda: _rates((0.0, 1.0), (1.0, _INF)), "matching intensities must be positive and finite"),
     # level doubling
-    (lambda: _double((0.0, _NAN, 1.0)), "levels must be strictly increasing"),
-    (lambda: _double((0.0, _INF, 1.0)), "levels must be strictly increasing"),
+    (lambda: _double((0.0, _NAN, 1.0)), "levels must be nondecreasing"),
+    (lambda: _double((0.0, _INF, 1.0)), "levels must be nondecreasing"),
     (lambda: _double((0.0, 0.5, 0.5, 1.0)), "levels must be strictly increasing"),
     (lambda: _double((0.0,)), "need at least two levels"),
     (lambda: _double((0.0, 0.5)), "levels must run from 0 to 1"),

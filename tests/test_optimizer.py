@@ -304,6 +304,38 @@ class TestDoubleLevels:
         assert r_before / 5 <= r_after <= r_before / 2
 
 
+class TestTypedAndPlainInputsAgree:
+    """A typed design is read without a second check, so it must give
+    the same floats as its plain level and matching vectors."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        g = MatchProfile.from_kind("linear", equispaced_partition(50).s)
+        result = nested_bisection(50, g)
+        return result.beta, result.g
+
+    def test_adjacent_rates(self, design):
+        beta, g = design
+        assert adjacent_rates(beta, g) == adjacent_rates(beta.t, g.values)
+
+    def test_verify_equalization(self, design):
+        beta, g = design
+        assert verify_equalization(beta, g) == verify_equalization(beta.t, g.values)
+
+    def test_equalize_chain(self, design):
+        _, g = design
+        assert equalize_chain(0.0, 1.0, 48, g) == equalize_chain(0.0, 1.0, 48, g.values)
+        inner = g.values[10:31]
+        typed = equalize_chain(0.2, 0.7, 19, MatchProfile.from_table(inner))
+        assert typed == equalize_chain(0.2, 0.7, 19, inner)
+
+    def test_double_levels(self, design):
+        beta, _ = design
+        typed = double_levels(beta, MatchProfile.uniform(beta.M))
+        plain = double_levels(beta.t)
+        assert (typed.s, typed.t) == (plain.s, plain.t)
+
+
 class TestVerifyEqualization:
     def test_single_pair_trivially_passes(self):
         report = verify_equalization((0.0, 1.0), (1.0, 1.0))

@@ -384,3 +384,34 @@ class TestCustomMassTable:
         finally:
             tracemalloc.stop()
         assert peak <= 5.65 * 2**20
+
+
+_RAW = CUSTOM_RAWS["(a-b)(1+ab)"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: normalize_weight("custom", _RAW, 0),
+    lambda: normalize_weight("custom", _RAW, 2.5),
+    lambda: normalize_weight("custom", _RAW, -3),
+    lambda: normalize_weight("custom", _RAW, True),
+    lambda: interval_mass(custom_weight(), 0.0, 0.5, 0),
+    lambda: interval_mass(custom_weight(), 0.0, 0.5, True),
+    lambda: custom_weight().quadrature_integral(2.5),
+    lambda: optimize_partition(normalize_weight("top"), 2, 2.5),
+    lambda: optimize_partition(normalize_weight("top"), 2, -3),
+    lambda: optimize_partition(custom_weight(), 2, False),
+], ids=[
+    "normalize-0", "normalize-2.5", "normalize--3", "normalize-True",
+    "interval-0", "interval-True", "quadrature-2.5",
+    "dp-2.5", "dp--3", "dp-False",
+])
+def test_grid_must_be_an_integer_of_at_least_1(call):
+    with pytest.raises(ValueError, match=r"^grid must be an integer of at least 1, got "):
+        call()
+
+
+def test_grid_may_be_a_numpy_integer():
+    w = custom_weight()
+    assert interval_mass(w, 0.0, 0.5, np.int64(1000)) == interval_mass(w, 0.0, 0.5, 1000)
+    top = normalize_weight("top")
+    assert optimize_partition(top, 3, np.int64(60)) == optimize_partition(top, 3, 60)
