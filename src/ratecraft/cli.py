@@ -25,6 +25,7 @@ from .core import (
     QuestionBank,
     _design_from_json,
     _mix_from_json,
+    _named_errors,
     _read_json,
     _write_csv,
     load_design,
@@ -112,11 +113,13 @@ def _cmd_estimate_psi(args) -> int:
     if args.mode == "known":
         if args.qualities is None:
             raise CliError("--mode known requires --qualities")
-        bank = estimate_known(ratings, read_qualities_csv(args.qualities))
+        estimate, params = estimate_known, (read_qualities_csv(args.qualities),)
     else:
         if args.items is None or args.per_item is None:
             raise CliError("--mode unknown requires --items and --per-item")
-        bank = estimate_unknown(ratings, args.items, args.per_item)
+        estimate, params = estimate_unknown, (args.items, args.per_item)
+    with _named_errors(args.ratings):
+        bank = estimate(ratings, *params)
     bank.to_csv(args.out)
     print(
         f"mode={args.mode} thetas={bank.n_thetas} "

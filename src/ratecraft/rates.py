@@ -15,7 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatchProfile, StepBeta, _checked_levels, _checked_matching
+from .core import (
+    MatchProfile,
+    StepBeta,
+    _checked_grid,
+    _checked_levels,
+    _checked_matching,
+)
 
 __all__ = [
     "kl_bernoulli",
@@ -245,6 +251,7 @@ def numeric_pairwise_rate(
     closed form.
     """
     t_lo, t_hi, g_lo, g_hi = _checked_pair(t_lo, t_hi, g_lo, g_hi)
+    grid = _checked_grid(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
 

@@ -10,6 +10,7 @@ to all of [0, 1].
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -89,36 +90,39 @@ class PsiInterpolator:
         return (1.0 - alpha)[:, None] * self.values[lo] + alpha[:, None] * self.values[hi]
 
 
-def _collect_counts(
-    ratings: Iterable[Rating],
-) -> tuple[list[str], list[str], dict[tuple[str, str], list[int]]]:
-    """Group ratings into per-(item, question) positive/total counts.
-
-    Items and questions keep first-appearance order; response values must
-    be 0 or 1.
-    """
-    items: list[str] = []
-    questions: list[str] = []
-    seen_items: set[str] = set()
-    seen_questions: set[str] = set()
-    counts: dict[tuple[str, str], list[int]] = {}
-    for row in ratings:
-        item, question, response = str(row[0]), str(row[1]), row[2]
-        response = int(response)
-        if response not in (0, 1):
-            raise ValueError(f"response must be 0 or 1, got {row[2]!r}")
-        if item not in seen_items:
-            seen_items.add(item)
-            items.append(item)
-        if question not in seen_questions:
-            seen_questions.add(question)
-            questions.append(question)
-        cell = counts.setdefault((item, question), [0, 0])
-        cell[0] += response
-        cell[1] += 1
-    if not counts:
+def _tally(ratings: Iterable[Rating]) -> tuple[Counter, list[str], list[str]]:
+    """Counts per (item, question, response), taken in one pass over the
+    ratings, and the items and questions in first-appearance order.  Every
+    response must equal 0 or 1."""
+    tally = Counter((str(row[0]), str(row[1]), row[2]) for row in ratings)
+    if not tally:
         raise ValueError("no ratings given")
-    return items, questions, counts
+    # keys keep first-appearance order, so the first bad key is the first
+    # bad rating
+    for _, _, response in tally:
+        if response not in (0, 1):
+            raise ValueError(f"response must be 0 or 1, got {response!r}")
+    items = list(dict.fromkeys(item for item, _, _ in tally))
+    questions = list(dict.fromkeys(question for _, question, _ in tally))
+    return tally, items, questions
+
+
+def _bank(anchors: Sequence[float], questions: list[str], tally: Counter,
+          rows: Iterable[tuple[str, int]]) -> QuestionBank:
+    """Bank whose row k pools the counts of every item that ``rows`` pairs
+    with k.  The first (item, question) cell without ratings, in the order
+    of ``rows`` and then ``questions``, raises."""
+    pos = np.zeros((len(anchors), len(questions)), dtype=np.int64)
+    tot = np.zeros_like(pos)
+    for item, row in rows:
+        for col, question in enumerate(questions):
+            positives = tally[item, question, 1]
+            total = positives + tally[item, question, 0]
+            if total == 0:
+                raise ValueError(f"no responses for item {item!r}, question {question!r}")
+            pos[row, col] += positives
+            tot[row, col] += total
+    return QuestionBank(tuple(anchors), tuple(questions), pos / tot, pos, tot)
 
 
 def estimate_known(
@@ -130,26 +134,13 @@ def estimate_known(
     pool their counts.  Each (quality, question) cell needs at least one
     observation.
     """
-    items, questions, counts = _collect_counts(ratings)
-    unknown = [i for i in items if i not in qualities]
-    if unknown:
-        raise ValueError(f"no quality given for item {unknown[0]!r}")
-    thetas = sorted({float(qualities[i]) for i in items})
-    pos = np.zeros((len(thetas), len(questions)), dtype=np.int64)
-    tot = np.zeros_like(pos)
-    index = {th: k for k, th in enumerate(thetas)}
+    tally, items, questions = _tally(ratings)
     for item in items:
-        row = index[float(qualities[item])]
-        for col, question in enumerate(questions):
-            cell = counts.get((item, question))
-            if cell is None:
-                raise ValueError(
-                    f"no responses for item {item!r}, question {question!r}"
-                )
-            pos[row, col] += cell[0]
-            tot[row, col] += cell[1]
-    psi = pos / tot
-    return QuestionBank(tuple(thetas), tuple(questions), psi, pos, tot)
+        if item not in qualities:
+            raise ValueError(f"no quality given for item {item!r}")
+    thetas = sorted({float(qualities[i]) for i in items})
+    index = {th: k for k, th in enumerate(thetas)}
+    return _bank(thetas, questions, tally, ((i, index[float(qualities[i])]) for i in items))
 
 
 def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
@@ -160,34 +151,22 @@ def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
     midpoint.  Every item must carry exactly N responses, as the ranking
     construction assumes.
     """
-    items, questions, counts = _collect_counts(ratings)
+    tally, items, questions = _tally(ratings)
     if len(items) != L:
         raise ValueError(f"expected {L} items, found {len(items)}")
-    totals = dict.fromkeys(items, 0)
-    positives = dict.fromkeys(items, 0)
-    for (item, _), (p, n) in counts.items():
-        positives[item] += p
+    positives, totals = dict.fromkeys(items, 0), dict.fromkeys(items, 0)
+    for (item, _, response), n in tally.items():
         totals[item] += n
+        if response:
+            positives[item] += n
     for item in items:
         if totals[item] != N:
             raise ValueError(
                 f"item {item!r} has {totals[item]} responses, expected {N}"
             )
     ranked = sorted(items, key=lambda i: (positives[i] / totals[i], i))
-    pos = np.zeros((L, len(questions)), dtype=np.int64)
-    tot = np.zeros_like(pos)
-    for rank, item in enumerate(ranked):
-        for col, question in enumerate(questions):
-            cell = counts.get((item, question))
-            if cell is None:
-                raise ValueError(
-                    f"no responses for item {item!r}, question {question!r}"
-                )
-            pos[rank, col] = cell[0]
-            tot[rank, col] = cell[1]
     anchors = tuple((rank + 0.5) / L for rank in range(L))
-    psi = pos / tot
-    return QuestionBank(anchors, tuple(questions), psi, pos, tot)
+    return _bank(anchors, questions, tally, ((item, rank) for rank, item in enumerate(ranked)))
 
 
 _RESPONSES = {"0": 0, "1": 1}

@@ -380,6 +380,27 @@ class TestEstimatePsi:
         assert "strictly inside (0, 1)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, flags, problem", [
+        ("a,q1,1\nb,q2,0\n", ("--mode", "known"), "no responses for item 'a', question 'q2'"),
+        ("a,q1,1\nc,q1,0\n", ("--mode", "known"), "no quality given for item 'c'"),
+        ("a,q1,1\nb,q1,0\n", ("--mode", "unknown", "--items", "3", "--per-item", "1"),
+         "expected 3 items, found 2"),
+        ("a,q1,1\nb,q1,0\n", ("--mode", "unknown", "--items", "2", "--per-item", "2"),
+         "item 'a' has 1 responses, expected 2"),
+    ], ids=["missing-cell", "no-quality", "item-count", "response-count"])
+    def test_content_errors_name_the_ratings_file(self, tmp_path, qualities_file,
+                                                  rows, flags, problem, capsys):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("item_id,question,response\n" + rows)
+        out = tmp_path / "psi.csv"
+        code, _, err = run(
+            capsys, "estimate-psi", *flags, "--ratings", str(ratings),
+            "--qualities", str(qualities_file), "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {ratings}: {problem}\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_step_design_series_and_summary(self, design_file, tmp_path, capsys):

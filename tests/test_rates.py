@@ -136,6 +136,16 @@ class TestPairwiseRate:
             -math.log(0.5), abs=1e-9
         )
 
+    @pytest.mark.parametrize("grid", (2.5, 10.0, "100", True), ids=repr)
+    def test_numeric_oracle_grid_must_be_an_integer(self, grid):
+        with pytest.raises(ValueError, match=r"^grid must be an integer of at least 1, got "):
+            numeric_pairwise_rate(0.3, 0.7, 1.0, 1.0, grid)
+
+    def test_numeric_oracle_grid_may_be_a_numpy_integer(self):
+        assert numeric_pairwise_rate(0.3, 0.7, 1.0, 1.0, np.int64(100)) == (
+            numeric_pairwise_rate(0.3, 0.7, 1.0, 1.0, 100)
+        )
+
     @given(prob_interior, prob_interior, intensity, intensity)
     @settings(max_examples=100, deadline=None)
     def test_mirror_symmetry(self, x, y, g1, g2):

@@ -1,8 +1,11 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratecraft.core import QuestionBank
 from ratecraft.responses import (
@@ -86,14 +89,26 @@ class TestEstimateKnown:
         with pytest.raises(ValueError, match="quality"):
             estimate_known([("ghost", "q", 1)], {"a": 0.5})
 
-    def test_missing_cell_rejected(self):
-        ratings = [("a", "q1", 1), ("b", "q2", 0)]
-        with pytest.raises(ValueError):
-            estimate_known(ratings, {"a": 0.3, "b": 0.7})
+    def test_missing_cell_rejected_in_item_order(self):
+        # cells (b, q2) and (a, q1) are missing; b appears first
+        ratings = [("b", "q1", 1), ("a", "q2", 0)]
+        with pytest.raises(ValueError, match=r"^no responses for item 'b', question 'q2'$"):
+            estimate_known(ratings, {"a": 0.7, "b": 0.3})
 
-    def test_bad_response_value_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_known([("a", "q", 2)], {"a": 0.5})
+    @pytest.mark.parametrize("estimate", (
+        lambda r: estimate_known(r, {"a": 0.5}),
+        lambda r: estimate_unknown(r, 1, 2),
+    ), ids=("known", "unknown"))
+    @pytest.mark.parametrize("bad", (0.7, "1", 2, None, math.nan), ids=repr)
+    def test_bad_response_value_rejected(self, estimate, bad):
+        with pytest.raises(ValueError, match=rf"^response must be 0 or 1, got {re.escape(repr(bad))}$"):
+            estimate([("a", "q", 1), ("a", "q", bad)])
+
+    def test_responses_equal_to_0_or_1_count(self):
+        ratings = [("a", "q", 1.0), ("a", "q", True), ("a", "q", np.int64(0)), ("a", "q", 1)]
+        bank = estimate_known(ratings, {"a": 0.5})
+        assert bank.positives.tolist() == [[3]]
+        assert bank.totals.tolist() == [[4]]
 
 
 class TestEstimateUnknown:
@@ -160,12 +175,96 @@ class TestEstimateUnknown:
         with pytest.raises(ValueError):
             estimate_unknown(ratings, L=2, N=2)
 
+    def test_missing_cell_rejected_in_rank_order(self):
+        # cells (b, q2) and (a, q1) are missing; a ranks below b
+        ratings = [("b", "q1", 1), ("a", "q2", 0)]
+        with pytest.raises(ValueError, match=r"^no responses for item 'a', question 'q1'$"):
+            estimate_unknown(ratings, L=2, N=1)
+
     def test_tie_broken_by_item_id(self):
         ratings = [("zz", "q", 1), ("aa", "q", 1)]
         bank = estimate_unknown(ratings, L=2, N=1)
         assert bank.thetas == (0.25, 0.75)
         # equal fractions: lexicographically smaller id takes the lower rank
         assert bank.positives.tolist() == [[1], [1]]
+
+
+def reference_tables(ratings, qualities=None, L=None, N=None):
+    """Plain-dict estimator: (thetas, questions, positives, totals) as lists,
+    at known qualities, or at rank anchors when ``qualities`` is None."""
+    items, questions, counts = [], [], {}
+    for item, question, response in ratings:
+        if item not in items:
+            items.append(item)
+        if question not in questions:
+            questions.append(question)
+        cell = counts.setdefault((item, question), [0, 0])
+        cell[0] += response
+        cell[1] += 1
+    if qualities is not None:
+        thetas = sorted({qualities[i] for i in items})
+        rows = [(item, thetas.index(qualities[item])) for item in items]
+    else:
+        if len(items) != L:
+            raise ValueError(f"expected {L} items, found {len(items)}")
+        pos = {i: sum(c[0] for (j, _), c in counts.items() if j == i) for i in items}
+        tot = {i: sum(c[1] for (j, _), c in counts.items() if j == i) for i in items}
+        for item in items:
+            if tot[item] != N:
+                raise ValueError(f"item {item!r} has {tot[item]} responses, expected {N}")
+        ranked = sorted(items, key=lambda i: (pos[i] / tot[i], i))
+        thetas = [(rank + 0.5) / L for rank in range(L)]
+        rows = [(item, rank) for rank, item in enumerate(ranked)]
+    positives = [[0] * len(questions) for _ in thetas]
+    totals = [[0] * len(questions) for _ in thetas]
+    for item, row in rows:
+        for col, question in enumerate(questions):
+            if (item, question) not in counts:
+                raise ValueError(f"no responses for item {item!r}, question {question!r}")
+            positives[row][col] += counts[item, question][0]
+            totals[row][col] += counts[item, question][1]
+    return list(thetas), questions, positives, totals
+
+
+def tables_or_error(estimate, *args):
+    try:
+        out = estimate(*args)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(out, QuestionBank):
+        return list(out.thetas), list(out.questions), out.positives.tolist(), out.totals.tolist()
+    return out
+
+
+@st.composite
+def rating_lists(draw):
+    """Each item draws its questions from a shared pool, so cells can be
+    missing; one extra rating may break equal per-item counts."""
+    items = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
+    questions = draw(st.lists(st.sampled_from(("q1", "q2", "q3")), min_size=1,
+                              max_size=3, unique=True))
+    per_item = draw(st.integers(1, 6))
+    ratings = [
+        (item, draw(st.sampled_from(questions)), draw(st.integers(0, 1)))
+        for item in items for _ in range(per_item)
+    ]
+    if draw(st.booleans()):
+        ratings.append((draw(st.sampled_from(items)), questions[0], 1))
+    ratings = draw(st.permutations(ratings))
+    qualities = {item: draw(st.sampled_from((0.25, 0.5, 0.75))) for item in items}
+    return ratings, qualities, len(items), per_item
+
+
+@settings(max_examples=300, deadline=None)
+@given(rating_lists())
+def test_estimators_match_plain_dict_reference(case):
+    ratings, qualities, L, N = case
+    assert tables_or_error(estimate_known, ratings, qualities) == (
+        tables_or_error(reference_tables, ratings, qualities)
+    )
+    assert tables_or_error(estimate_unknown, ratings, L, N) == (
+        tables_or_error(reference_tables, ratings, None, L, N)
+    )
 
 
 class TestPsiInterpolator:
