@@ -43,10 +43,10 @@ from .optimizer import (
 )
 from .partition import asymptotic_value, optimize_partition
 from .responses import (
-    estimate_known,
-    estimate_unknown,
+    _count_ratings_csv,
+    _known_from_tally,
+    _unknown_from_tally,
     read_qualities_csv,
-    read_ratings_csv,
 )
 from .simulator import SimConfig, run_simulation
 
@@ -109,17 +109,21 @@ def _cmd_fit_h(args) -> int:
 
 
 def _cmd_estimate_psi(args) -> int:
-    ratings = read_ratings_csv(args.ratings)
-    if args.mode == "known":
-        if args.qualities is None:
-            raise CliError("--mode known requires --qualities")
-        estimate, params = estimate_known, (read_qualities_csv(args.qualities),)
-    else:
+    if args.mode == "known" and args.qualities is None:
+        raise CliError("--mode known requires --qualities")
+    if args.mode == "unknown":
         if args.items is None or args.per_item is None:
             raise CliError("--mode unknown requires --items and --per-item")
-        estimate, params = estimate_unknown, (args.items, args.per_item)
+        for flag, value in (("--items", args.items), ("--per-item", args.per_item)):
+            if value < 1:
+                raise CliError(f"{flag} must be at least 1")
+    tally = _count_ratings_csv(args.ratings)
+    if args.mode == "known":
+        estimate, params = _known_from_tally, (read_qualities_csv(args.qualities),)
+    else:
+        estimate, params = _unknown_from_tally, (args.items, args.per_item)
     with _named_errors(args.ratings):
-        bank = estimate(ratings, *params)
+        bank = estimate(tally, *params)
     bank.to_csv(args.out)
     print(
         f"mode={args.mode} thetas={bank.n_thetas} "

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -454,6 +455,45 @@ def _read_csv(path: str | Path, forms: dict, text: str | None = None) -> tuple[t
             raise ValueError(f"{path}:{line}: not UTF-8 text") from None
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    return header, rows
+
+
+def _count_csv_rows(path: str | Path, forms: dict) -> tuple[tuple, Counter]:
+    """``_read_csv(path, forms)`` with equal rows counted: the header and a
+    ``Counter`` of the parsed rows, whose keys keep first-appearance order.
+    Each distinct line is parsed once, so every parser must be a pure
+    function of its row.  A file that is not one row per line, or that
+    ``_read_csv`` refuses, is read again by ``_read_csv``, which raises
+    its own message."""
+    counted = _count_lines(path, forms)
+    if counted is None:
+        header, rows = _read_csv(path, forms)
+        counted = header, Counter(rows)
+    return counted
+
+
+def _count_lines(path: str | Path, forms: dict) -> tuple[tuple, Counter] | None:
+    """What ``_count_csv_rows`` returns, if each line of the file is one row
+    that ``_read_csv`` accepts; otherwise None."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first, lines = fh.readline(), Counter(fh)
+        # a quoted field may span lines, so only a file without quotes is one
+        # row per line; line ends other than \n are left to the row reader
+        if any('"' in line or "\r" in line for line in (first, *lines)):
+            return None
+        header = tuple(h.strip() for h in next(csv.reader([first])))
+        if header not in forms:
+            return None
+        parse, width, rows = forms[header], len(header), Counter()
+        for line, n in lines.items():
+            row = next(csv.reader([line]))
+            if row:
+                if len(row) != width:
+                    return None
+                rows[parse(row)] += n
+    except (OSError, ValueError, csv.Error):
+        return None
     return header, rows
 
 

@@ -18,7 +18,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import QuestionBank, _checked_qualities, _read_csv, _write_csv
+from .core import (
+    QuestionBank,
+    _checked_qualities,
+    _count_csv_rows,
+    _read_csv,
+    _write_csv,
+)
 
 __all__ = [
     "PsiInterpolator",
@@ -90,21 +96,31 @@ class PsiInterpolator:
         return (1.0 - alpha)[:, None] * self.values[lo] + alpha[:, None] * self.values[hi]
 
 
-def _tally(ratings: Iterable[Rating]) -> tuple[Counter, list[str], list[str]]:
+def _tally(ratings: Iterable[Rating]) -> Counter:
     """Counts per (item, question, response), taken in one pass over the
-    ratings, and the items and questions in first-appearance order.  Every
+    ratings; keys keep first-appearance order."""
+    return Counter((str(row[0]), str(row[1]), row[2]) for row in ratings)
+
+
+def _checked_response(response) -> int:
+    """``response`` as the int 0 or 1; anything equal to neither raises."""
+    if response not in (0, 1):
+        raise ValueError(f"response must be 0 or 1, got {response!r}")
+    return int(response)
+
+
+def _items_and_questions(tally: Counter) -> tuple[list[str], list[str]]:
+    """The items and questions of a tally in first-appearance order.  Every
     response must equal 0 or 1."""
-    tally = Counter((str(row[0]), str(row[1]), row[2]) for row in ratings)
     if not tally:
         raise ValueError("no ratings given")
     # keys keep first-appearance order, so the first bad key is the first
     # bad rating
     for _, _, response in tally:
-        if response not in (0, 1):
-            raise ValueError(f"response must be 0 or 1, got {response!r}")
+        _checked_response(response)
     items = list(dict.fromkeys(item for item, _, _ in tally))
     questions = list(dict.fromkeys(question for _, question, _ in tally))
-    return tally, items, questions
+    return items, questions
 
 
 def _bank(anchors: Sequence[float], questions: list[str], tally: Counter,
@@ -134,7 +150,11 @@ def estimate_known(
     pool their counts.  Each (quality, question) cell needs at least one
     observation.
     """
-    tally, items, questions = _tally(ratings)
+    return _known_from_tally(_tally(ratings), qualities)
+
+
+def _known_from_tally(tally: Counter, qualities: Mapping[str, float]) -> QuestionBank:
+    items, questions = _items_and_questions(tally)
     for item in items:
         if item not in qualities:
             raise ValueError(f"no quality given for item {item!r}")
@@ -151,7 +171,11 @@ def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
     midpoint.  Every item must carry exactly N responses, as the ranking
     construction assumes.
     """
-    tally, items, questions = _tally(ratings)
+    return _unknown_from_tally(_tally(ratings), L, N)
+
+
+def _unknown_from_tally(tally: Counter, L: int, N: int) -> QuestionBank:
+    items, questions = _items_and_questions(tally)
     if len(items) != L:
         raise ValueError(f"expected {L} items, found {len(items)}")
     positives, totals = dict.fromkeys(items, 0), dict.fromkeys(items, 0)
@@ -179,15 +203,26 @@ def _rating(row: list[str]) -> Rating:
     return row[0], row[1], response
 
 
+_RATINGS = {("item_id", "question", "response"): _rating}
+
+
 def read_ratings_csv(path: str | Path) -> list[Rating]:
     """Rows of ``item_id,question,response`` with response in {0, 1}."""
-    return _read_csv(path, {("item_id", "question", "response"): _rating})[1]
+    return _read_csv(path, _RATINGS)[1]
+
+
+def _count_ratings_csv(path: str | Path) -> Counter:
+    """``_tally(read_ratings_csv(path))``, with each distinct line of the
+    file parsed once and no list of rows built."""
+    return _count_csv_rows(path, _RATINGS)[1]
 
 
 def write_ratings_csv(path: str | Path, ratings: Iterable[Rating]) -> None:
-    _write_csv(path, ("item_id", "question", "response"), (
-        [item, question, int(response)] for item, question, response in ratings
-    ))
+    """Write ratings as ``read_ratings_csv`` reads them; a response equal to
+    neither 0 nor 1 raises before the file is opened."""
+    rows = [[item, question, _checked_response(response)]
+            for item, question, response in ratings]
+    _write_csv(path, ("item_id", "question", "response"), rows)
 
 
 def read_qualities_csv(path: str | Path) -> dict[str, float]:
@@ -197,17 +232,25 @@ def read_qualities_csv(path: str | Path) -> dict[str, float]:
     def add(row: list[str]) -> None:
         if row[0] in out:
             raise ValueError(f"duplicate item id {row[0]!r}")
-        theta = float(row[1])
-        # written so that NaN fails: it compares false with everything
-        if not 0.0 < theta < 1.0:
-            raise ValueError(f"theta must lie strictly inside (0, 1), got {row[1]!r}")
-        out[row[0]] = theta
+        out[row[0]] = _checked_theta(row[1])
 
     _read_csv(path, {("item_id", "theta"): add})
     return out
 
 
+def _checked_theta(text: str) -> float:
+    """The quality ``text`` spells, which must lie strictly inside (0, 1)."""
+    theta = float(text)
+    # written so that NaN fails: it compares false with everything
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie strictly inside (0, 1), got {text!r}")
+    return theta
+
+
 def write_qualities_csv(path: str | Path, qualities: Mapping[str, float]) -> None:
-    _write_csv(path, ("item_id", "theta"), (
-        [item, repr(float(theta))] for item, theta in qualities.items()
-    ))
+    """Write qualities as ``read_qualities_csv`` reads them; a quality it
+    would refuse raises its message before the file is opened."""
+    rows = [[item, repr(float(theta))] for item, theta in qualities.items()]
+    for _, text in rows:
+        _checked_theta(text)
+    _write_csv(path, ("item_id", "theta"), rows)

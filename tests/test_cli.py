@@ -20,6 +20,12 @@ from ratecraft import (
     save_design,
 )
 from ratecraft.cli import main
+from ratecraft.responses import (
+    estimate_known,
+    estimate_unknown,
+    read_qualities_csv,
+    read_ratings_csv,
+)
 
 
 def run(capsys, *argv):
@@ -400,6 +406,43 @@ class TestEstimatePsi:
         assert code == 1
         assert err == f"error: {ratings}: {problem}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("counts, problem", [
+        (("--items", "0", "--per-item", "80"), "--items must be at least 1"),
+        (("--items", "-2", "--per-item", "0"), "--items must be at least 1"),
+        (("--items", "2", "--per-item", "0"), "--per-item must be at least 1"),
+    ])
+    def test_counts_below_one_are_flag_errors(self, tmp_path, counts, problem, capsys):
+        # the ratings file does not exist: the flags are checked before it is read
+        out = tmp_path / "psi.csv"
+        code, _, err = run(
+            capsys, "estimate-psi", "--mode", "unknown", "--ratings",
+            str(tmp_path / "absent.csv"), *counts, "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["known", "unknown"])
+    def test_banks_match_the_library_estimators(self, tmp_path, ratings_file,
+                                                 qualities_file, mode, capsys):
+        ratings = read_ratings_csv(ratings_file)
+        assert len(set(ratings)) < len(ratings)
+        if mode == "known":
+            flags = ("--qualities", str(qualities_file))
+            bank = estimate_known(ratings, read_qualities_csv(qualities_file))
+        else:
+            flags = ("--items", "2", "--per-item", "80")
+            bank = estimate_unknown(ratings, 2, 80)
+        out, expected = tmp_path / "psi.csv", tmp_path / "expected.csv"
+        code, _, err = run(
+            capsys, "estimate-psi", "--mode", mode, "--ratings", str(ratings_file),
+            *flags, "--out", str(out),
+        )
+        assert code == 0, err
+        bank.to_csv(expected)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestSimulate:

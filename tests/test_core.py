@@ -1,11 +1,12 @@
 import json
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
@@ -17,11 +18,14 @@ from ratecraft.core import (
     QuestionBank,
     QuestionDistribution,
     StepBeta,
+    _count_csv_rows,
+    _read_csv,
     _write_json,
     load_design,
     normalize_weight,
     save_design,
 )
+from ratecraft.responses import _RATINGS
 
 
 class TestStepBeta:
@@ -699,3 +703,85 @@ def test_vector_checks_keep_their_messages(check, message):
     with pytest.raises(ValueError) as err, np.errstate(all="ignore"):
         check()
     assert str(err.value) == message
+
+
+# lines of a ratings file: valid rows repeat, and every other kind of line
+# either parses alike on its own line (blank, padded header) or must send
+# the file through the row reader (quotes, a quoted newline, a bad
+# response, a wrong field count, a byte that is not UTF-8)
+_GOOD_LINES = (b"a,q1,1", b"a,q1,0", b"b,q2,1", b"b,q1,0", b"c,q2,0")
+_ODD_LINES = (b"", b'"a",q1,1', b'"a\nb",q2,0', b'a,"q1",0', b"a,q1,2", b"b,q2,yes",
+              b"a,q1", b"a,q1,1,x", b"b,\xffq,1", b"\xc3(,q1,0", b" ,q1,1")
+_HEADERS = (b"item_id,question,response", b" item_id , question,response ",
+            b"item,question,response", b'"item_id",question,response', b"item_id,question")
+
+
+@st.composite
+def ratings_files(draw):
+    lines = draw(st.lists(st.one_of(st.sampled_from(_GOOD_LINES), st.sampled_from(_GOOD_LINES),
+                                    st.sampled_from(_ODD_LINES)), max_size=12))
+    if lines and draw(st.booleans()):
+        # a repeated line, which the counted reader parses once
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    header = draw(st.one_of(st.sampled_from(_HEADERS[:2]), st.sampled_from(_HEADERS)))
+    crlf = draw(st.booleans())
+    ends = [draw(st.sampled_from((b"\r\n", b"\r"))) if crlf and draw(st.booleans()) else b"\n"
+            for _ in range(len(lines) + 1)]
+    text = b"".join(line + end for line, end in zip([header, *lines], ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+def _read_and_count(path, forms):
+    header, rows = _read_csv(path, forms)
+    return header, Counter(rows)
+
+
+def _counted_or_error(read, path, forms=_RATINGS):
+    try:
+        header, rows = read(path, forms)
+    except ValueError as exc:
+        return str(exc)
+    return header, list(rows.items())
+
+
+@pytest.fixture(scope="module")
+def ratings_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ratings") / "ratings.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=ratings_files())
+@example(data=b"item_id,question,response\na,q1,1\nb,q2,0\na,q1,1\n\nb,q2,0")
+@example(data=b"item_id,question,response\na,q1,1\nb,q2,2\na,q1,1\nb,q2,2\n")
+@example(data=b'item_id,question,response\r\n"a\nb",q1,1\na,q1,1\n')
+@example(data=b"item_id,question,response\na,q1,1\na,\xffq,1\n")
+@example(data=b"")
+def test_counted_rows_match_the_row_reader(ratings_path, data):
+    """Counting each distinct line gives the row reader's rows, counted, in
+    first-appearance order, or raises the row reader's message."""
+    ratings_path.write_bytes(data)
+    assert _counted_or_error(_count_csv_rows, ratings_path) == (
+        _counted_or_error(_read_and_count, ratings_path)
+    )
+
+
+@pytest.mark.parametrize("text", [
+    # a quoted field spanning two lines, each of which alone parses to two fields
+    'a,b\nx,"y\nz",w\n',
+    # lines ending in \r and \r\n
+    'a,b\nx,y\rz,w\r\nx,y\n',
+])
+def test_counted_rows_take_any_parser(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, newline="")
+    forms = {("a", "b"): tuple}
+    assert _counted_or_error(_count_csv_rows, path, forms) == (
+        _counted_or_error(_read_and_count, path, forms)
+    )
+
+
+def test_counted_rows_name_a_missing_file(tmp_path):
+    path = tmp_path / "absent.csv"
+    counted = _counted_or_error(_count_csv_rows, path)
+    assert counted.startswith(f"{path}: cannot read: ")
+    assert counted == _counted_or_error(_read_and_count, path)

@@ -332,6 +332,35 @@ class TestCsvIO:
         write_qualities_csv(path, qualities)
         assert read_qualities_csv(path) == qualities
 
+    @pytest.mark.parametrize("response", [0.7, "1", 2, -1, math.nan, None])
+    def test_ratings_writer_refuses_what_the_estimators_refuse(self, tmp_path, response):
+        ratings = [("a", "q", 1), ("a", "q", response)]
+        path = tmp_path / "ratings.csv"
+        with pytest.raises(ValueError) as written:
+            write_ratings_csv(path, ratings)
+        with pytest.raises(ValueError) as estimated:
+            estimate_unknown(ratings, 1, 2)
+        assert str(written.value) == str(estimated.value) == (
+            f"response must be 0 or 1, got {response!r}"
+        )
+        assert not path.exists()
+
+    def test_ratings_writer_writes_responses_as_digits(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        write_ratings_csv(path, [("a", "q", True), ("a", "q", 1.0), ("b", "q", np.int64(0))])
+        assert path.read_text() == "item_id,question,response\na,q,1\na,q,1\nb,q,0\n"
+
+    @pytest.mark.parametrize("theta", [math.nan, 1.5, 0.0, 1.0, -0.25, math.inf])
+    def test_qualities_writer_refuses_what_the_reader_refuses(self, tmp_path, theta):
+        path = tmp_path / "q.csv"
+        with pytest.raises(ValueError) as written:
+            write_qualities_csv(path, {"a": 0.5, "b": theta})
+        assert not path.exists()
+        path.write_text(f"item_id,theta\na,0.5\nb,{theta!r}\n")
+        with pytest.raises(ValueError) as read:
+            read_qualities_csv(path)
+        assert str(read.value) == f"{path}:3: {written.value}"
+
     def test_bad_response_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("item_id,question,response\na,q,yes\n")
