@@ -76,11 +76,8 @@ def _seed(args) -> int:
 
 
 def _solve_design(M: int, w_kind: str, g_kind: str, grid: int, cfg=None):
-    w = normalize_weight(w_kind)
-    part = optimize_partition(w, M, grid)
-    g = MatchProfile.from_kind(g_kind, part.s)
-    result = nested_bisection(M, g, cfg, breakpoints=part)
-    return part, g, result
+    part = optimize_partition(normalize_weight(w_kind), M, grid)
+    return nested_bisection(M, MatchProfile.from_kind(g_kind, part), cfg, breakpoints=part)
 
 
 def _cmd_optimize_beta(args) -> int:
@@ -89,8 +86,8 @@ def _cmd_optimize_beta(args) -> int:
         max_outer=args.max_outer,
         max_inner=args.max_inner,
     )
-    part, g, result = _solve_design(args.M, args.w, args.g, args.grid, cfg)
-    save_design(args.out, result.beta, g, args.w, result.rate, result.residual)
+    result = _solve_design(args.M, args.w, args.g, args.grid, cfg)
+    save_design(args.out, result.beta, result.g, args.w, result.rate, result.residual)
     rate = "inf" if result.degenerate else f"{result.rate:.12g}"
     print(
         f"M={args.M} w={args.w} g={args.g} rate={rate} "
@@ -185,7 +182,7 @@ def _rate_rows(t, gv, rates):
 def _cmd_rate(args) -> int:
     design = load_design(args.design)
     beta = design["beta"]
-    g = design["g"] if args.g is None else MatchProfile.from_kind(args.g, beta.s)
+    g = design["g"] if args.g is None else MatchProfile.from_kind(args.g, beta)
     report = verify_equalization(beta, g)
     sys.stdout.write("".join(_rate_rows(beta.t, g.values, report.rates)))
     print(f"overall_rate {report.rate!r}")
@@ -196,10 +193,9 @@ def _cmd_rate(args) -> int:
 
 def _cmd_double(args) -> int:
     design = load_design(args.design)
-    g = design["g"]
-    if not g.is_constant:
-        raise CliError("level doubling is defined only for constant matching")
-    beta = design["beta"]
+    if args.times < 1:
+        raise CliError("--times must be at least 1")
+    beta, g = design["beta"], design["g"]
     for _ in range(args.times):
         beta = double_levels(beta, g)
         g = MatchProfile.uniform(beta.M)
@@ -228,7 +224,7 @@ def _figure_beta_panel(args) -> None:
         ("bottom", "uniform"),
         ("extremes", "uniform"),
     ]
-    betas = {f"w={w},g={g}": _solve_design(args.M, w, g, args.grid)[2].beta for w, g in combos}
+    betas = {f"w={w},g={g}": _solve_design(args.M, w, g, args.grid).beta for w, g in combos}
     _write_csv(args.out, ("design", "theta", "beta"), (
         [label, repr(float(th)), repr(float(v))]
         for label, beta in betas.items()
@@ -241,7 +237,7 @@ def _fitted_designs(args):
     design with the step functions the fitted and the uniform mix induce."""
     bank = fixture_bank()
     interp = fixture_interpolator()
-    _, _, result = _solve_design(args.M, "kendall", "uniform", args.grid)
+    result = _solve_design(args.M, "kendall", "uniform", args.grid)
     fitted = fit_h(result.beta, bank)
     induced = (induced_beta(h, bank, interp) for h in (fitted, naive_uniform_h(bank)))
     return bank, fitted, (result.beta, *induced)

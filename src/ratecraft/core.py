@@ -15,13 +15,13 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Partition",
     "StepBeta",
     "MatchProfile",
     "WeightSpec",
@@ -132,28 +132,24 @@ def _as_float_tuple(values: Iterable[float]) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-# One check per design vector; np.fromiter rejects a nested vector as float() does.
-def _checked_breakpoints(values: Iterable[float]) -> tuple[float, ...]:
-    """Interval breakpoints as floats, finite with 0 = s[0] < ... < s[-1] = 1."""
-    s = _as_float_tuple(values)
-    if len(s) < 2:
-        raise ValueError("need at least one interval (two breakpoints)")
-    arr = np.array(s)
-    if not np.isfinite(arr).all():
-        raise ValueError("breakpoints must be finite")
-    if s[0] != 0.0 or s[-1] != 1.0:
-        raise ValueError("breakpoints must start at 0 and end at 1")
-    if not (arr[1:] > arr[:-1]).all():
-        raise ValueError("breakpoints must be strictly increasing")
-    return s
+def _float_array(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a new read-only float array."""
+    arr = np.fromiter(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+# One check per design vector; a typed input's stored array is returned as it is.
+def _checked_breakpoints(values: Partition | StepBeta | Iterable[float]) -> np.ndarray:
+    """Interval breakpoints as a float array, checked by :class:`Partition`."""
+    return (values if isinstance(values, (Partition, StepBeta)) else Partition(values))._s
 
 
 def _checked_levels(beta: StepBeta | Iterable[float]) -> np.ndarray:
-    """Rating levels as a float array, nondecreasing within [0, 1]; a
-    :class:`StepBeta`'s levels were checked when it was built."""
+    """Rating levels as a float array, nondecreasing within [0, 1]."""
     if isinstance(beta, StepBeta):
-        return np.array(beta.t)
-    t = np.fromiter(beta, dtype=float)
+        return beta._t
+    t = _float_array(beta)
     # written so that NaN fails: it compares false with everything
     if not (t[1:] >= t[:-1]).all():
         raise ValueError("levels must be nondecreasing")
@@ -163,19 +159,23 @@ def _checked_levels(beta: StepBeta | Iterable[float]) -> np.ndarray:
 
 
 def _checked_matching(g: MatchProfile | Iterable[float]) -> np.ndarray:
-    """Matching intensities as a float array, positive and finite; a
-    :class:`MatchProfile`'s values were checked when it was built."""
+    """Matching intensities as a float array, positive and finite."""
     if isinstance(g, MatchProfile):
-        return np.array(g.values)
-    w = np.fromiter(g, dtype=float)
+        return g._values
+    w = _float_array(g)
     if not (np.isfinite(w) & (w > 0.0)).all():
         raise ValueError("matching intensities must be positive and finite")
     return w
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer of at least 1, which a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
 def _checked_grid(grid: int) -> int:
-    """A grid's cell count: an integer of at least 1, which a bool is not."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+    """A grid's cell count: an integer of at least 1."""
+    if not _is_count(grid):
         raise ValueError(f"grid must be an integer of at least 1, got {grid!r}")
     return int(grid)
 
@@ -189,12 +189,39 @@ def _checked_qualities(theta) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Partition:
+    """Interval breakpoints over [0, 1]: ``s[0] == 0 < ... < s[M] == 1``."""
+
+    s: tuple[float, ...]
+    _s: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # float() refuses None and a nested vector
+        s = _as_float_tuple(self.s)
+        if len(s) < 2:
+            raise ValueError("need at least one interval (two breakpoints)")
+        arr = _float_array(s)
+        if not np.isfinite(arr).all():
+            raise ValueError("breakpoints must be finite")
+        if s[0] != 0.0 or s[-1] != 1.0:
+            raise ValueError("breakpoints must start at 0 and end at 1")
+        if not (arr[1:] > arr[:-1]).all():
+            raise ValueError("breakpoints must be strictly increasing")
+        # frozen: the fields are set in the instance dict, past __setattr__
+        vars(self).update(s=s, _s=arr)
+
+    @property
+    def M(self) -> int:
+        return len(self.s) - 1
+
+
+@dataclass(frozen=True)
 class StepBeta:
     """Step rating function: probability of a positive rating per quality.
 
     Parameters
     ----------
-    s : tuple of float
+    s : tuple of float, or Partition
         Interval breakpoints, ``s[0] == 0 < s[1] < ... < s[M] == 1``.
     t : tuple of float
         Rating level per interval, nondecreasing, within [0, 1].  Interval
@@ -203,48 +230,35 @@ class StepBeta:
 
     s: tuple[float, ...]
     t: tuple[float, ...]
+    _s: np.ndarray = field(init=False, repr=False, compare=False)
+    _t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s, t = _checked_breakpoints(self.s), _as_float_tuple(self.t)
-        if len(t) != len(s) - 1:
-            raise ValueError(f"got {len(t)} levels for {len(s) - 1} intervals")
-        _checked_levels(t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        part = self.s if isinstance(self.s, Partition) else Partition(self.s)
+        t = _as_float_tuple(self.t)
+        if len(t) != part.M:
+            raise ValueError(f"got {len(t)} levels for {part.M} intervals")
+        vars(self).update(s=part.s, t=t, _s=part._s, _t=_checked_levels(t))
 
     @property
     def M(self) -> int:
         """Number of intervals."""
         return len(self.t)
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # breakpoints and levels as arrays, built once for every lookup
-        return np.array(self.s), np.array(self.t)
-
-    def __getstate__(self) -> dict:
-        # pickle the fields only; the lookup arrays are rebuilt on demand
-        return {"s": self.s, "t": self.t}
-
-    def _index(self, arr: np.ndarray):
-        idx = np.searchsorted(self._arrays[0], arr, side="right") - 1
-        return np.minimum(np.maximum(idx, 0), self.M - 1)
+    def _index(self, theta) -> tuple[np.ndarray, bool]:
+        arr = _checked_qualities(theta)
+        idx = np.searchsorted(self._s, arr, side="right") - 1
+        return np.minimum(np.maximum(idx, 0), self.M - 1), np.isscalar(theta) or arr.ndim == 0
 
     def __call__(self, theta):
         """Evaluate at quality ``theta`` (scalar or array) in [0, 1]."""
-        arr = _checked_qualities(theta)
-        out = self._arrays[1][self._index(arr)]
-        if np.isscalar(theta) or arr.ndim == 0:
-            return float(out)
-        return out
+        idx, scalar = self._index(theta)
+        return float(self._t[idx]) if scalar else self._t[idx]
 
     def interval_index(self, theta) -> np.ndarray | int:
         """Index of the interval containing ``theta`` (in [0, 1])."""
-        arr = _checked_qualities(theta)
-        idx = self._index(arr)
-        if np.isscalar(theta) or arr.ndim == 0:
-            return int(idx)
-        return idx
+        idx, scalar = self._index(theta)
+        return int(idx) if scalar else idx
 
 
 @dataclass(frozen=True)
@@ -258,6 +272,7 @@ class MatchProfile:
 
     kind: str
     values: tuple[float, ...]
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in MATCH_KINDS:
@@ -265,8 +280,7 @@ class MatchProfile:
         vals = _as_float_tuple(self.values)
         if len(vals) == 0:
             raise ValueError("empty matching profile")
-        _checked_matching(vals)
-        object.__setattr__(self, "values", vals)
+        vars(self).update(values=vals, _values=_checked_matching(vals))
 
     @property
     def M(self) -> int:
@@ -274,7 +288,7 @@ class MatchProfile:
 
     @property
     def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
+        return bool((self._values == self._values[0]).all())
 
     @staticmethod
     def uniform(M: int) -> "MatchProfile":
@@ -285,10 +299,10 @@ class MatchProfile:
 
     @staticmethod
     def from_table(values: Sequence[float]) -> "MatchProfile":
-        return MatchProfile("table", tuple(values))
+        return MatchProfile("table", values)
 
     @staticmethod
-    def from_kind(kind: str, breakpoints: Sequence[float]) -> "MatchProfile":
+    def from_kind(kind: str, breakpoints: Partition | StepBeta | Sequence[float]) -> "MatchProfile":
         """Sample a formula kind's intensity once per interval of checked breakpoints.
 
         Each interval gets the intensity at its left endpoint, which for
@@ -296,7 +310,7 @@ class MatchProfile:
         """
         if kind not in _MATCH_INTENSITY:
             raise ValueError(f"cannot build kind {kind!r} without explicit values")
-        left = np.array(_checked_breakpoints(breakpoints)[:-1])
+        left = _checked_breakpoints(breakpoints)[:-1]
         return MatchProfile(kind, _MATCH_INTENSITY[kind](left).tolist())
 
 
@@ -601,11 +615,8 @@ class QuestionBank:
     totals: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        thetas = _as_float_tuple(self.thetas)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "questions", tuple(str(q) for q in self.questions))
-        psi = np.array(self.psi, dtype=float)
-        object.__setattr__(self, "psi", psi)
+        thetas, psi = _as_float_tuple(self.thetas), np.array(self.psi, dtype=float)
+        vars(self).update(thetas=thetas, questions=tuple(map(str, self.questions)), psi=psi)
         if len(thetas) == 0 or len(self.questions) == 0:
             raise ValueError("bank must have at least one quality and question")
         # written so that NaN fails: it compares false with everything
@@ -626,7 +637,7 @@ class QuestionBank:
             counts = getattr(self, name)
             if counts is not None:
                 counts = np.array(counts, dtype=np.int64)
-                object.__setattr__(self, name, counts)
+                vars(self)[name] = counts
                 if counts.shape != psi.shape:
                     raise ValueError(f"{name} shape does not match psi")
                 if np.any(counts < 0):
@@ -704,9 +715,8 @@ class QuestionDistribution:
     objective: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "questions", tuple(str(q) for q in self.questions))
         probs = _as_float_tuple(self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
+        vars(self).update(questions=tuple(map(str, self.questions)), probabilities=probs)
         if len(probs) != len(self.questions):
             raise ValueError("one probability per question required")
         if len(set(self.questions)) != len(self.questions):

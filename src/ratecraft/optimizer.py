@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatchProfile, StepBeta, _checked_levels, _checked_matching
-from .partition import Partition, _breakpoints, equispaced_partition
+from .core import MatchProfile, Partition, StepBeta, _checked_breakpoints, _checked_levels
+from .core import _checked_matching, _is_count
+from .partition import equispaced_partition
 from .rates import adjacent_rates, pair_rates
 
 __all__ = [
@@ -60,10 +61,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1e-2:
             raise ValueError("tol must lie in (0, 1e-2)")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be positive")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be positive and finite")
+        if not (_is_count(self.max_outer) and _is_count(self.max_inner)):
+            raise ValueError("iteration caps must be positive integers")
 
 
 def _log_rate_slopes(
@@ -211,8 +212,8 @@ def nested_bisection(
         g = MatchProfile.from_table(g)
     if g.M != M:
         raise ValueError(f"matching profile has {g.M} entries for M={M}")
-    s = _breakpoints(equispaced_partition(M) if breakpoints is None else breakpoints)
-    if len(s) != M + 1:
+    s = equispaced_partition(M) if breakpoints is None else breakpoints
+    if len(_checked_breakpoints(s)) != M + 1:
         raise ValueError("breakpoints do not match M")
 
     if M == 2:
@@ -254,7 +255,7 @@ def double_levels(
     out = np.empty(2 * M - 1)
     out[0::2] = t
     out[1::2] = np.sin(0.5 * (phi[:-1] + phi[1:])) ** 2
-    return StepBeta(equispaced_partition(2 * M - 1).s, out.tolist())
+    return StepBeta(equispaced_partition(2 * M - 1), out.tolist())
 
 
 @dataclass(frozen=True)

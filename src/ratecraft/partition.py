@@ -11,12 +11,11 @@ over a breakpoint grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import _NAMED_WEIGHTS, WeightSpec, _checked_breakpoints, _checked_grid
+from .core import _NAMED_WEIGHTS, Partition, WeightSpec, _checked_breakpoints, _checked_grid
 
 __all__ = [
     "Partition",
@@ -38,32 +37,12 @@ _TILE = 32
 _EVAL_TILES = 512
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Interval breakpoints over [0, 1]: ``s[0] == 0 < ... < s[M] == 1``."""
-
-    s: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _checked_breakpoints(self.s))
-
-    @property
-    def M(self) -> int:
-        return len(self.s) - 1
-
-
 def equispaced_partition(M: int) -> Partition:
     """M intervals of equal width."""
     if M < 1:
         raise ValueError("M must be at least 1")
     # numpy divides exactly as Python's i / M does, bit for bit
     return Partition((np.arange(M + 1) / M).tolist())
-
-
-def _breakpoints(partition: Partition | Sequence[float]) -> tuple[float, ...]:
-    if isinstance(partition, Partition):
-        return partition.s
-    return Partition(tuple(partition)).s
 
 
 def interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
@@ -87,7 +66,7 @@ def within_mass(
 ) -> float:
     """Total weight mass lost to same-interval pairs; a custom weight
     needs breakpoints on the grid (see :func:`interval_mass`)."""
-    s = _breakpoints(partition)
+    s = _checked_breakpoints(partition).tolist()
     return float(sum(interval_mass(w, a, b, grid) for a, b in zip(s, s[1:])))
 
 

@@ -80,7 +80,9 @@ def kl_bernoulli(a: float, t: float) -> float:
         out += a * math.log(a / t)
     if a < 1.0:
         out += (1.0 - a) * math.log((1.0 - a) / (1.0 - t))
-    return out
+    # the two terms nearly cancel when a is near t, and rounding can leave
+    # a value just below 0, which no divergence takes
+    return max(out, 0.0)
 
 
 def _kl_grid(a: np.ndarray, t: float) -> np.ndarray:

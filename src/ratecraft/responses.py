@@ -11,20 +11,14 @@ to all of [0, 1].
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    QuestionBank,
-    _checked_qualities,
-    _count_csv_rows,
-    _read_csv,
-    _write_csv,
-)
+from .core import QuestionBank, _as_float_tuple, _checked_qualities, _count_csv_rows, _float_array
+from .core import _is_count, _read_csv, _write_csv
 
 __all__ = [
     "PsiInterpolator",
@@ -50,32 +44,26 @@ class PsiInterpolator:
 
     anchors: tuple[float, ...]
     values: np.ndarray
+    _anchors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        anchors = tuple(float(a) for a in self.anchors)
-        values = np.array(self.values, dtype=float)
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "values", values)
+        anchors = _as_float_tuple(self.anchors)
+        arr, values = _float_array(anchors), np.array(self.values, dtype=float)
+        vars(self).update(anchors=anchors, values=values, _anchors=arr)
         if values.ndim != 2 or values.shape[0] != len(anchors):
             raise ValueError("one value row per anchor required")
         if len(anchors) == 0:
             raise ValueError("need at least one anchor")
-        if any(b <= a for a, b in zip(anchors, anchors[1:])):
+        # written so that NaN fails: it compares false with everything
+        if not (arr[1:] > arr[:-1]).all():
             raise ValueError("anchors must be strictly increasing")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        _checked_qualities(arr)
+        if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValueError("anchored values must lie within [0, 1]")
 
     @staticmethod
     def from_bank(bank: QuestionBank) -> "PsiInterpolator":
         return PsiInterpolator(bank.thetas, bank.psi)
-
-    @cached_property
-    def _anchor_array(self) -> np.ndarray:
-        return np.array(self.anchors)
-
-    def __getstate__(self) -> dict:
-        # pickle the fields only; the anchor array is rebuilt on demand
-        return {"anchors": self.anchors, "values": self.values}
 
     def row(self, theta: float) -> np.ndarray:
         """Interpolated probability vector at one quality."""
@@ -84,7 +72,7 @@ class PsiInterpolator:
     def rows(self, thetas) -> np.ndarray:
         """Interpolated probability rows for an array of qualities."""
         th = _checked_qualities(thetas)
-        anchors = self._anchor_array
+        anchors = self._anchors
         clipped = np.minimum(np.maximum(th, anchors[0]), anchors[-1])
         if len(anchors) == 1:
             return np.repeat(self.values, len(th), axis=0)
@@ -171,6 +159,9 @@ def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
     midpoint.  Every item must carry exactly N responses, as the ranking
     construction assumes.
     """
+    for name, value in (("L", L), ("N", N)):
+        if not _is_count(value):
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     return _unknown_from_tally(_tally(ratings), L, N)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import _MATCH_INTENSITY, _NAMED_WEIGHTS, StepBeta, WeightSpec, normalize_weight
-from .core import _write_csv
+from .core import _checked_matching, _write_csv
 
 __all__ = [
     "SimConfig",
@@ -531,8 +531,7 @@ def estimate_pk_rate(
     """
     if not 0.0 <= t2 <= t1 <= 1.0:
         raise ValueError("need 0 <= t2 <= t1 <= 1")
-    if g1 <= 0.0 or g2 <= 0.0:
-        raise ValueError("matching intensities must be positive")
+    _checked_matching((g1, g2))
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     if reps < 1000:

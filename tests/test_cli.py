@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ratecraft
 from ratecraft import (
     MatchProfile,
     QuestionBank,
@@ -92,6 +93,39 @@ class TestOptimizeBeta:
         design = load_design(out)
         assert design["g"].kind == "linear"
         assert design["w_kind"] == "bottom"
+
+    def test_converts_each_design_vector_once(self, tmp_path, capsys):
+        """Count the np.array, np.asarray and np.fromiter calls made from
+        the package that convert the breakpoints, the levels or the
+        matching intensities, each told apart by a local of the calling
+        frame that equals the vector or holds it as a field."""
+        package = str(Path(ratecraft.__file__).parent)
+        converters = (np.array, np.asarray, np.fromiter)
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and any(arg is f for f in converters):
+                if frame.f_code.co_filename.startswith(package):
+                    frames.append(dict(frame.f_locals))
+
+        out = tmp_path / "d.json"
+        sys.setprofile(profile)
+        try:
+            code = main(["optimize-beta", "--M", "200", "--g", "linear", "--out", str(out)])
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        design = load_design(out)
+        vectors = {"s": design["beta"].s, "t": design["beta"].t, "values": design["g"].values}
+
+        def holds(value, name):
+            if isinstance(value, (tuple, list)):
+                return tuple(value) == vectors[name]
+            return getattr(value, name, None) == vectors[name]
+
+        counts = {name: sum(any(holds(v, name) for v in local.values()) for local in frames)
+                  for name in vectors}
+        assert counts == {"s": 1, "t": 1, "values": 1}
 
     def test_iteration_cap_is_solver_failure(self, tmp_path, capsys):
         code, _, err = run(
@@ -192,6 +226,18 @@ class TestDouble:
         )
         assert code == 1
         assert "constant matching" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("times", ["0", "-1"])
+    def test_rejects_times_below_one(self, design_file, tmp_path, capsys, times):
+        out = tmp_path / "o.json"
+        code, _, err = run(
+            capsys, "double", "--design", str(design_file), "--times", times, "--out", str(out)
+        )
+        assert code == 1
+        assert err == "error: --times must be at least 1\n"
+        assert not out.exists()
 
     def test_unknown_weight_kind_is_input_error(self, design_file, tmp_path, capsys):
         payload = json.loads(design_file.read_text())

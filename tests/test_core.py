@@ -15,9 +15,13 @@ from ratecraft.core import (
     WEIGHT_KINDS,
     _NAMED_WEIGHTS,
     MatchProfile,
+    Partition,
     QuestionBank,
     QuestionDistribution,
     StepBeta,
+    _checked_breakpoints,
+    _checked_levels,
+    _checked_matching,
     _count_csv_rows,
     _read_csv,
     _write_json,
@@ -25,7 +29,10 @@ from ratecraft.core import (
     normalize_weight,
     save_design,
 )
-from ratecraft.responses import _RATINGS
+from ratecraft.optimizer import SolverConfig, nested_bisection
+from ratecraft.partition import within_mass
+from ratecraft.responses import _RATINGS, PsiInterpolator
+from ratecraft.simulator import estimate_pk_rate
 
 
 class TestStepBeta:
@@ -520,7 +527,7 @@ class TestQuestionDistribution:
 
 class TestDesignFiles:
     def test_round_trip_bit_exact(self, tmp_path):
-        from ratecraft.optimizer import nested_bisection
+        from ratecraft.optimizer import SolverConfig, nested_bisection
 
         result = nested_bisection(7)
         path = tmp_path / "design.json"
@@ -611,7 +618,7 @@ def test_write_json_gives_the_bytes_of_json_dumps(json_path, payload):
 
 
 def test_write_json_gives_the_bytes_of_json_dumps_for_a_design(tmp_path):
-    from ratecraft.optimizer import nested_bisection
+    from ratecraft.optimizer import SolverConfig, nested_bisection
 
     result = nested_bisection(300, MatchProfile.from_kind("linear", np.linspace(0, 1, 301)))
     path = tmp_path / "design.json"
@@ -674,6 +681,12 @@ _NAN, _INF = math.nan, math.inf
      "breakpoints must start at 0 and end at 1"),
     (lambda: MatchProfile.from_kind("linear", (0.0, _NAN, 1.0)), "breakpoints must be finite"),
     (lambda: MatchProfile.from_kind("linear", (0.0, 0.5, 1.0)), None),
+    # typed breakpoints, read without a second check
+    (lambda: StepBeta(_partition((0.0, 0.5, 1.0)), (0.5,)), "got 1 levels for 2 intervals"),
+    (lambda: StepBeta(_partition((0.0, 0.5, 1.0)), (0.5, _NAN)), "levels must be nondecreasing"),
+    (lambda: StepBeta(_partition((0.0, 0.5, 1.0)), (0.2, 0.5)), None),
+    (lambda: MatchProfile.from_kind("linear", _partition((0.0, 0.5, 1.0))), None),
+    (lambda: MatchProfile.from_kind("uniform", StepBeta((0.0, 0.5, 1.0), (0.2, 0.5))), None),
     # the level solver's matching entries
     (lambda: _equalize((1.0, _NAN, 1.0, 1.0)), "matching intensities must be positive and finite"),
     (lambda: _equalize((1.0, _INF, 1.0, 1.0)), "matching intensities must be positive and finite"),
@@ -695,6 +708,25 @@ _NAN, _INF = math.nan, math.inf
     (lambda: _double((0.0, 0.5, 0.5, 1.0)), "levels must be strictly increasing"),
     (lambda: _double((0.0,)), "need at least two levels"),
     (lambda: _double((0.0, 0.5)), "levels must run from 0 to 1"),
+    # the level solver's settings
+    (lambda: SolverConfig(residual_tol=_NAN), "residual_tol must be positive and finite"),
+    (lambda: SolverConfig(residual_tol=_INF), "residual_tol must be positive and finite"),
+    (lambda: SolverConfig(residual_tol=0.0), "residual_tol must be positive and finite"),
+    (lambda: SolverConfig(max_outer=2.5), "iteration caps must be positive integers"),
+    (lambda: SolverConfig(max_outer=_NAN), "iteration caps must be positive integers"),
+    (lambda: SolverConfig(max_inner=True), "iteration caps must be positive integers"),
+    (lambda: SolverConfig(max_inner=0), "iteration caps must be positive integers"),
+    (lambda: SolverConfig(max_outer=np.int64(3), residual_tol=1e-6), None),
+    # interpolated response rates
+    (lambda: PsiInterpolator((0.5, _NAN), [[0.1], [0.2]]), "anchors must be strictly increasing"),
+    (lambda: PsiInterpolator((_NAN,), [[0.1]]), "quality must lie within [0, 1]"),
+    (lambda: PsiInterpolator((-_INF, 0.5), [[0.1], [0.2]]), "quality must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [_NAN]]), "anchored values must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [0.2]]), None),
+    # the Monte Carlo exponent's intensities
+    (lambda: estimate_pk_rate(0.7, 0.3, _NAN, 1.0), "matching intensities must be positive and finite"),
+    (lambda: estimate_pk_rate(0.7, 0.3, 1.0, _INF), "matching intensities must be positive and finite"),
+    (lambda: estimate_pk_rate(0.7, 0.3, 0.0, 1.0), "matching intensities must be positive and finite"),
 ])
 def test_vector_checks_keep_their_messages(check, message):
     if message is None:
@@ -703,6 +735,42 @@ def test_vector_checks_keep_their_messages(check, message):
     with pytest.raises(ValueError) as err, np.errstate(all="ignore"):
         check()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad, name", [([0, None, 1], "NoneType"), ([0, [0.5], 1], "list")])
+@pytest.mark.parametrize("check", [
+    _partition,
+    lambda s: StepBeta(s, (0.2, 0.5)),
+    lambda s: MatchProfile.from_kind("linear", s),
+    lambda s: nested_bisection(2, breakpoints=s),
+    lambda s: within_mass(normalize_weight("kendall"), s),
+])
+def test_plain_breakpoints_go_through_float(check, bad, name):
+    """Each plain breakpoint goes through float(), which refuses None and a
+    nested vector, where an array conversion would read NaN or raise its own
+    message."""
+    with pytest.raises(TypeError) as err:
+        check(bad)
+    assert str(err.value) == f"float() argument must be a string or a real number, not '{name}'"
+
+
+def test_typed_vectors_store_one_read_only_array():
+    part = Partition([0.0, 0.5, 1.0])
+    beta = StepBeta(part, [0.2, 0.6])
+    g = MatchProfile.from_kind("linear", part)
+    interp = PsiInterpolator((0.2, 0.5), [[0.1], [0.2]])
+    # a typed input's array is returned as it is, and shared with the
+    # Partition a StepBeta was built from, tuple and floats alike
+    assert _checked_breakpoints(part) is part._s
+    assert _checked_breakpoints(beta) is beta._s is part._s and beta.s is part.s
+    assert _checked_levels(beta) is beta._t and _checked_matching(g) is g._values
+    assert beta == StepBeta((0.0, 0.5, 1.0), (0.2, 0.6))
+    assert repr(beta) == "StepBeta(s=(0.0, 0.5, 1.0), t=(0.2, 0.6))"
+    plain = (_checked_breakpoints([0.0, 1.0]), _checked_levels([0.2]), _checked_matching([1.0]))
+    for arr in (part._s, beta._t, g._values, interp._anchors, *plain):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
 
 
 # lines of a ratings file: valid rows repeat, and every other kind of line

@@ -181,6 +181,29 @@ class TestEstimateUnknown:
         with pytest.raises(ValueError, match=r"^no responses for item 'a', question 'q1'$"):
             estimate_unknown(ratings, L=2, N=1)
 
+    @pytest.mark.parametrize("L, N, message", [
+        (0, 2, "L must be an integer of at least 1, got 0"),
+        (True, 2, "L must be an integer of at least 1, got True"),
+        (1.0, 2, "L must be an integer of at least 1, got 1.0"),
+        (1, 0, "N must be an integer of at least 1, got 0"),
+        (1, False, "N must be an integer of at least 1, got False"),
+        (1, math.nan, "N must be an integer of at least 1, got nan"),
+        (np.int64(1), np.int32(2), None),
+    ])
+    def test_counts_checked_before_the_ratings(self, L, N, message):
+        ratings = [("a", "q", 1), ("a", "q", 0)]
+        if message is None:
+            assert estimate_unknown(ratings, L, N).totals.tolist() == [[2]]
+            return
+
+        def unread():
+            raise AssertionError("the ratings were read")
+            yield
+
+        with pytest.raises(ValueError) as err:
+            estimate_unknown(unread(), L, N)
+        assert str(err.value) == message
+
     def test_tie_broken_by_item_id(self):
         ratings = [("zz", "q", 1), ("aa", "q", 1)]
         bank = estimate_unknown(ratings, L=2, N=1)
