@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -47,12 +47,11 @@ MATCH_KINDS = (*_MATCH_INTENSITY, "table")
 class _NamedWeight:
     """One named pair weight, defined here and nowhere else.
 
-    ``raw(a, b)`` is the unnormalized weight of a pair a > b; every named
-    kind but Kendall has raw(a, b) == (a - b) * P(a) * P(b) with P >= 0 on
-    [0, 1], and Kendall weighs every pair by 1 with P = 1.  That form lets
-    the simulator score a ranking in O(n log n) instead of summing over
-    all n^2 pairs.  ``constant`` is 1 / the integral of raw over
-    {a > b}.  ``within(a, b)`` is the normalized mass of
+    ``raw(a, b)``, the unnormalized weight of a pair a > b, is
+    P(a) * P(b) * (a - b) with P >= 0 on [0, 1] for a ``gapped`` kind,
+    which lets the simulator score a ranking in O(n log n); Kendall weighs
+    every pair by 1 with P = 1.  ``constant`` is 1 / the integral of raw
+    over {a > b}.  ``within(a, b)`` is the normalized mass of
     {a <= theta2 < theta1 <= b} in closed form: each raw weight is
     polynomial, so the triangle integral factors as a power of (b - a)
     times a symmetric polynomial in a and b.  ``equal_width`` marks the
@@ -60,10 +59,15 @@ class _NamedWeight:
     """
 
     constant: float
-    raw: Callable[[np.ndarray, np.ndarray], np.ndarray]
     P: Callable[[np.ndarray], np.ndarray]
     within: Callable[[np.ndarray, np.ndarray], np.ndarray]
     equal_width: bool = False
+    gapped: bool = True
+
+    def raw(self, a, b) -> np.ndarray:
+        if self.gapped:
+            return self.P(a) * self.P(b) * (a - b)
+        return np.ones(np.broadcast(a, b).shape)
 
     def interval_mass(self, a, b) -> np.ndarray:
         """``within`` at a and b converted to float arrays first: a Python
@@ -74,36 +78,21 @@ class _NamedWeight:
 # Raw integrals over {a > b} are 1/2, 1/6, 1/30, 1/30 and 1/672.
 _NAMED_WEIGHTS = {
     "kendall": _NamedWeight(
-        2.0,
-        lambda a, b: np.broadcast_arrays(
-            np.ones_like(np.asarray(a, dtype=float)), np.asarray(b, dtype=float)
-        )[0].copy(),
-        np.ones_like,
-        lambda a, b: (b - a) ** 2,
-        equal_width=True,
+        2.0, np.ones_like, lambda a, b: (b - a) ** 2, equal_width=True, gapped=False
     ),
-    "spearman": _NamedWeight(
-        6.0,
-        lambda a, b: a - b,
-        np.ones_like,
-        lambda a, b: (b - a) ** 3,
-        equal_width=True,
-    ),
+    "spearman": _NamedWeight(6.0, np.ones_like, lambda a, b: (b - a) ** 3, equal_width=True),
     "top": _NamedWeight(
         30.0,
-        lambda a, b: a * b * (a - b),
         lambda t: t,
         lambda a, b: (b - a) ** 3 * (a * a + 3.0 * a * b + b * b),
     ),
     "bottom": _NamedWeight(
         30.0,
-        lambda a, b: (1.0 - a) * (1.0 - b) * (a - b),
         lambda t: 1.0 - t,
         lambda a, b: (b - a) ** 3 * (a * a + 3.0 * a * b + b * b - 5.0 * (a + b) + 5.0),
     ),
     "extremes": _NamedWeight(
         672.0,
-        lambda a, b: (0.5 - a) ** 2 * (0.5 - b) ** 2 * (a - b),
         lambda t: (0.5 - t) ** 2,
         lambda a, b: (b - a) ** 3 * (
             8.0 * a**4
@@ -139,10 +128,23 @@ def _float_array(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
-# One check per design vector; a typed input's stored array is returned as it is.
+class _Rebuilt:
+    """Pickled as a constructor call on the init fields, which rebuilds the
+    stored arrays read-only; numpy would pickle them writeable."""
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+# One check per design vector; a typed input is returned as it is.
+def _checked_partition(values: Partition | StepBeta | Iterable[float]) -> Partition | StepBeta:
+    """Breakpoints as a typed input or a new, checked ``Partition``."""
+    return values if isinstance(values, (Partition, StepBeta)) else Partition(values)
+
+
 def _checked_breakpoints(values: Partition | StepBeta | Iterable[float]) -> np.ndarray:
     """Interval breakpoints as a float array, checked by :class:`Partition`."""
-    return (values if isinstance(values, (Partition, StepBeta)) else Partition(values))._s
+    return _checked_partition(values)._s
 
 
 def _checked_levels(beta: StepBeta | Iterable[float]) -> np.ndarray:
@@ -168,16 +170,16 @@ def _checked_matching(g: MatchProfile | Iterable[float]) -> np.ndarray:
     return w
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is an integer of at least 1, which a bool is not."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer of at least ``least``, which a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
-def _checked_grid(grid: int) -> int:
-    """A grid's cell count: an integer of at least 1."""
-    if not _is_count(grid):
-        raise ValueError(f"grid must be an integer of at least 1, got {grid!r}")
-    return int(grid)
+def _checked_count(value, name: str, least: int = 1) -> int:
+    """``value``, an integer of at least ``least``, as an int."""
+    if not _is_count(value, least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _checked_qualities(theta) -> np.ndarray:
@@ -189,7 +191,7 @@ def _checked_qualities(theta) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(_Rebuilt):
     """Interval breakpoints over [0, 1]: ``s[0] == 0 < ... < s[M] == 1``."""
 
     s: tuple[float, ...]
@@ -216,7 +218,7 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class StepBeta:
+class StepBeta(_Rebuilt):
     """Step rating function: probability of a positive rating per quality.
 
     Parameters
@@ -234,7 +236,7 @@ class StepBeta:
     _t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        part = self.s if isinstance(self.s, Partition) else Partition(self.s)
+        part = _checked_partition(self.s)
         t = _as_float_tuple(self.t)
         if len(t) != part.M:
             raise ValueError(f"got {len(t)} levels for {part.M} intervals")
@@ -262,7 +264,7 @@ class StepBeta:
 
 
 @dataclass(frozen=True)
-class MatchProfile:
+class MatchProfile(_Rebuilt):
     """Per-interval matching intensity.
 
     ``values[i]`` is the relative rate at which items in interval ``i``
@@ -344,12 +346,8 @@ class WeightSpec:
         return out
 
     def mass(self, theta) -> np.ndarray:
-        """The factor P of the raw weight at the qualities ``theta``.
-
-        Every named kind but Kendall has raw(a, b) == (a - b) * P(a) * P(b)
-        with P >= 0 on [0, 1]; Kendall's P is 1.  Custom weights have no
-        such form and raise ``ValueError``.
-        """
+        """P of a named kind's raw weight (see ``_NamedWeight``) at ``theta``;
+        a custom weight has none and raises ``ValueError``."""
         if self.kind not in _NAMED_WEIGHTS:
             raise ValueError(f"{self.kind} weight has no separable form")
         t = np.asarray(theta, dtype=float)
@@ -357,10 +355,18 @@ class WeightSpec:
 
     def _table(self, grid: int) -> np.ndarray:
         """The raw mass table at ``grid``, built on first use and kept."""
-        grid = _checked_grid(grid)
+        grid = _checked_count(grid, "grid")
         if grid not in self._tables:
             self._tables[grid] = _mass_table(self.raw, grid)
         return self._tables[grid]
+
+    def _grid_mass(self, grid: int, a, b) -> np.ndarray:
+        """Within mass of [a/grid, b/grid], grid indices a < b: a named kind's
+        closed form, or a custom weight's mass table at ``grid``."""
+        named = _NAMED_WEIGHTS.get(self.kind)
+        if named is not None:
+            return named.interval_mass(a / grid, b / grid)
+        return self.constant * self._table(grid)[a, b]
 
     def quadrature_integral(self, grid: int = 1000) -> float:
         """Integral over {theta1 > theta2} by the midpoint rule on ``grid``
@@ -417,7 +423,7 @@ def normalize_weight(
         raise ValueError(f"unknown weight kind {kind!r}")
     if raw is None:
         raise ValueError("custom weight needs a raw callable")
-    grid = _checked_grid(grid)
+    grid = _checked_count(grid, "grid")
     table = _mass_table(raw, grid)
     total = float(table[0, grid])
     if not math.isfinite(total) or total <= 0.0:

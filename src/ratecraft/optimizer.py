@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatchProfile, Partition, StepBeta, _checked_breakpoints, _checked_levels
+from .core import MatchProfile, Partition, StepBeta, _checked_levels, _checked_partition
 from .core import _checked_matching, _is_count
 from .partition import equispaced_partition
 from .rates import adjacent_rates, pair_rates
@@ -212,8 +212,8 @@ def nested_bisection(
         g = MatchProfile.from_table(g)
     if g.M != M:
         raise ValueError(f"matching profile has {g.M} entries for M={M}")
-    s = equispaced_partition(M) if breakpoints is None else breakpoints
-    if len(_checked_breakpoints(s)) != M + 1:
+    s = equispaced_partition(M) if breakpoints is None else _checked_partition(breakpoints)
+    if s.M != M:
         raise ValueError("breakpoints do not match M")
 
     if M == 2:

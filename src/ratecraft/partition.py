@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _NAMED_WEIGHTS, Partition, WeightSpec, _checked_breakpoints, _checked_grid
+from .core import _NAMED_WEIGHTS, Partition, WeightSpec, _checked_breakpoints, _checked_count
 
 __all__ = [
     "Partition",
@@ -54,11 +54,11 @@ def interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
     named = _NAMED_WEIGHTS.get(w.kind)
     if named is not None:
         return float(named.interval_mass(a, b))
-    table = w._table(grid)  # first, so that a bad grid fails the grid check
+    grid = _checked_count(grid, "grid")
     ka, kb = int(round(a * grid)), int(round(b * grid))
     if ka / grid != a or kb / grid != b:
         raise ValueError(f"custom weight needs interval ends on the grid of {grid} cells")
-    return float(w.constant * table[ka, kb])
+    return float(w._grid_mass(grid, ka, kb))
 
 
 def within_mass(
@@ -82,29 +82,7 @@ def asymptotic_value(
     return 1.0 - within_mass(w, partition, grid)
 
 
-class _GridMass:
-    """Within mass between grid breakpoints, vectorized per query.
-
-    Named kinds evaluate their closed form.  Custom weights read the
-    weight's mass table at this grid (see ``core._mass_table``), which
-    gives every grid-aligned triangle directly.
-    """
-
-    def __init__(self, w: WeightSpec, grid: int):
-        self.grid = grid
-        self.named = _NAMED_WEIGHTS.get(w.kind)
-        if self.named is None:
-            self.constant = w.constant
-            self.table = w._table(grid)
-
-    def span(self, a: int, bs: np.ndarray) -> np.ndarray:
-        """Mass of triangles from fixed grid index a to each index in bs."""
-        if self.named is not None:
-            return self.named.interval_mass(a / self.grid, bs / self.grid)
-        return self.constant * self.table[a, bs]
-
-
-def _mass_tiles(mass: _GridMass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mass_tiles(w: WeightSpec, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Upper triangle of T[a, b], the within mass of [a/G, b/G], in tiles.
 
     Tile t covers columns b = t*_TILE + 1 .. (t+1)*_TILE.  Row a keeps its
@@ -114,7 +92,6 @@ def _mass_tiles(mass: _GridMass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     min-plus step never picks them.  ``tile_min[a, t]`` is the least entry
     of that tile, +inf for tiles row a does not keep.
     """
-    G = mass.grid
     n_cols = -(-G // _TILE)
     first = np.arange(G) // _TILE
     kept = n_cols - first
@@ -123,7 +100,7 @@ def _mass_tiles(mass: _GridMass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = tiles.reshape(-1)
     for a in range(G):
         at = (base[a] + first[a]) * _TILE + a % _TILE
-        flat[at : at + G - a] = mass.span(a, np.arange(a + 1, G + 1))
+        flat[at : at + G - a] = w._grid_mass(G, a, np.arange(a + 1, G + 1))
     tile_min = np.full((G, n_cols), np.inf)
     tile_min[np.arange(n_cols) >= first[:, None]] = tiles.min(axis=1)
     return tiles, base, tile_min
@@ -218,7 +195,7 @@ def optimize_partition(
     named = _NAMED_WEIGHTS.get(w.kind)
     if method == "auto" and named is not None and named.equal_width:
         return equispaced_partition(M)
-    grid = _checked_grid(grid)
+    grid = _checked_count(grid, "grid")
     if grid > MAX_GRID:
         raise ValueError(
             f"grid {grid} exceeds the limit of {MAX_GRID} for the partition "
@@ -230,7 +207,7 @@ def optimize_partition(
         return Partition((0.0, 1.0))
 
     G = grid
-    tiles, base, tile_min = _mass_tiles(_GridMass(w, G))
+    tiles, base, tile_min = _mass_tiles(w, G)
     n_cols = tile_min.shape[1]
     # cost[b]: least within-interval mass splitting [b/G, 1] into j
     # intervals, +inf where that is impossible or not needed, and +inf past

@@ -18,7 +18,7 @@ import numpy as np
 from .core import (
     MatchProfile,
     StepBeta,
-    _checked_grid,
+    _checked_count,
     _checked_levels,
     _checked_matching,
 )
@@ -253,7 +253,7 @@ def numeric_pairwise_rate(
     closed form.
     """
     t_lo, t_hi, g_lo, g_hi = _checked_pair(t_lo, t_hi, g_lo, g_hi)
-    grid = _checked_grid(grid)
+    grid = _checked_count(grid, "grid")
     if grid < 2:
         raise ValueError("grid must be at least 2")
 

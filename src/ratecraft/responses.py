@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import QuestionBank, _as_float_tuple, _checked_qualities, _count_csv_rows, _float_array
-from .core import _is_count, _read_csv, _write_csv
+from .core import _checked_count, _read_csv, _Rebuilt, _write_csv
 
 __all__ = [
     "PsiInterpolator",
@@ -34,7 +34,7 @@ Rating = tuple[str, str, int]
 
 
 @dataclass(frozen=True)
-class PsiInterpolator:
+class PsiInterpolator(_Rebuilt):
     """Piecewise-linear extension of anchored response probabilities.
 
     Between neighboring anchor qualities the rows blend linearly; outside
@@ -159,9 +159,8 @@ def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
     midpoint.  Every item must carry exactly N responses, as the ranking
     construction assumes.
     """
-    for name, value in (("L", L), ("N", N)):
-        if not _is_count(value):
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    _checked_count(L, "L")
+    _checked_count(N, "N")
     return _unknown_from_tally(_tally(ratings), L, N)
 
 

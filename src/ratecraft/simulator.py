@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import _MATCH_INTENSITY, _NAMED_WEIGHTS, StepBeta, WeightSpec, normalize_weight
-from .core import _checked_matching, _write_csv
+from .core import _checked_count, _checked_matching, _write_csv
 
 __all__ = [
     "SimConfig",
@@ -69,15 +69,21 @@ class SimConfig:
         object.__setattr__(self, "metrics", metrics)
         if not metrics:
             raise ValueError("at least one metric required")
-        for m in metrics:
+        for i, m in enumerate(metrics):
             if m not in _NAMED_WEIGHTS:
                 raise ValueError(f"unknown metric {m!r}")
+            if m in metrics[:i]:
+                raise ValueError(f"duplicate metric {m!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        for name, least in ("n_items", 2), ("n_buyers", 1), ("steps", 1), ("replicates", 1):
+            _checked_count(getattr(self, name), name, least)
+        _checked_count(self.seed, "seed", 0)
         if self.record_at is not None:
-            rec = tuple(sorted(set(int(k) for k in self.record_at)))
+            rec = tuple(sorted(set(self.record_at)))
             if not rec or rec[0] < 1 or rec[-1] > self.steps:
                 raise ValueError("record steps must lie within [1, steps]")
+            rec = tuple(_checked_count(k, "record step") for k in rec)
             object.__setattr__(self, "record_at", rec)
 
     def record_schedule(self) -> tuple[int, ...]:
@@ -343,12 +349,11 @@ class _RankObjective:
     """Weighted rank agreement of one market under several named weights.
 
     Kendall weighs every pair of distinct qualities by 1.  Every other
-    named weight has the centred gap form raw(a, b) = (a - b) P(a) P(b),
-    where P >= 0 on [0, 1] is the kind's :meth:`WeightSpec.mass`: 1,
-    theta, 1 - theta or (1/2 - theta)^2.  Sorted by quality, the pair sum
-    over theta_i > theta_j of raw * sign(s_i - s_j) is sum_i P_i B_i with
-    B from :func:`_signed_dominance`, and the Kendall sum is the plain
-    row's A.
+    named weight is ``gapped``: raw(a, b) = P(a) P(b) (a - b), where
+    P >= 0 on [0, 1] is the kind's :meth:`WeightSpec.mass`.  Sorted by
+    quality, the pair sum over theta_i > theta_j of raw * sign(s_i - s_j)
+    is sum_i P_i B_i with B from :func:`_signed_dominance`, and the
+    Kendall sum is the plain row's A.
     The denominator sum_i P_i sum_{j<i} (theta_i - theta_j) P_j is taken
     from gap prefix sums, sum_i P_i sum_{g<i} (theta_{g+1} - theta_g)
     (P_0 + ... + P_g), whose terms are all nonnegative.  Equal qualities
@@ -360,7 +365,6 @@ class _RankObjective:
 
     def __init__(self, weights: Sequence[WeightSpec]):
         self.weights = tuple(weights)
-        self.kendall = np.array([w.kind == "kendall" for w in self.weights])
 
     def rebuild(self, theta: np.ndarray) -> None:
         self.order = np.argsort(theta, kind="stable")
@@ -370,8 +374,10 @@ class _RankObjective:
             raise ValueError("qualities must be finite and lie within [0, 1]")
         self.theta = t
         self.mass = np.stack([w.mass(t) for w in self.weights])
-        self.plain = self.mass[self.kendall]
-        self.gapped = self.mass[~self.kendall]
+        # after mass(), which refuses a custom weight first
+        self.is_plain = np.array([not _NAMED_WEIGHTS[w.kind].gapped for w in self.weights])
+        self.plain = self.mass[self.is_plain]
+        self.gapped = self.mass[~self.is_plain]
         n = t.size
         first = np.ones(n, dtype=bool)
         first[1:] = t[1:] != t[:-1]
@@ -384,10 +390,10 @@ class _RankObjective:
         lower = np.zeros((self.gapped.shape[0], n))
         np.cumsum(np.cumsum(self.gapped[:, :-1], axis=1) * np.diff(t), axis=1, out=lower[:, 1:])
         den = np.empty(len(self.weights))
-        den[self.kendall] = (self.plain * self.start).sum(axis=1)
-        den[~self.kendall] = (self.gapped * lower).sum(axis=1)
+        den[self.is_plain] = (self.plain * self.start).sum(axis=1)
+        den[~self.is_plain] = (self.gapped * lower).sum(axis=1)
         self.denominators = den
-        self.subnormal = np.flatnonzero(~self.kendall & (den < _SUBNORMAL_TOTAL))
+        self.subnormal = np.flatnonzero(~self.is_plain & (den < _SUBNORMAL_TOTAL))
 
     def values(self, scores: np.ndarray) -> list[float]:
         """One objective per weight; score ties contribute zero."""
@@ -404,8 +410,8 @@ class _RankObjective:
             same = _signed_dominance(key, self.theta, ones, ones[:0])[0][0] - self.start
             A -= self.plain * same
         num = np.empty(len(self.weights))
-        num[self.kendall] = A.sum(axis=1)
-        num[~self.kendall] = (self.gapped * B).sum(axis=1)
+        num[self.is_plain] = A.sum(axis=1)
+        num[~self.is_plain] = (self.gapped * B).sum(axis=1)
         values = [float(x / den) if den else math.nan for x, den in zip(num, self.denominators)]
         for j in self.subnormal:
             values[j] = _written_out(self.weights[j], self.theta, scores, self.mass[j])
@@ -491,7 +497,7 @@ def run_simulation(cfg: SimConfig, jobs: int = 1) -> SimResult:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, cfg.replicates)) as pool:
             chunks = list(pool.map(_run_replicate, [cfg] * cfg.replicates, range(cfg.replicates)))
     rows = tuple(row for chunk in chunks for row in chunk)
     return SimResult(cfg.metrics, cfg.record_schedule(), cfg.replicates, rows)

@@ -390,6 +390,10 @@ class TestNamedWeightTable:
                 got = Fraction(float(entry.interval_mass(float(a), float(b))))
                 assert abs(got - exact) <= gamma * scale
 
+    def test_only_kendall_is_not_gapped(self):
+        # every other kind's raw weight is P(a) * P(b) * (a - b)
+        assert [k for k, entry in _NAMED_WEIGHTS.items() if not entry.gapped] == ["kendall"]
+
     @pytest.mark.parametrize("kind", list(_P_COEFFS))
     def test_equal_width_flag_means_mass_depends_on_width_only(self, kind):
         # within mass c * (b - a)**k is convex in the width, so equal widths
@@ -771,6 +775,30 @@ def test_typed_vectors_store_one_read_only_array():
         assert arr.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.5
+
+
+def test_typed_vectors_pickle_through_their_constructors():
+    part = Partition([0.0, 0.5, 1.0])
+    typed = [
+        (part, ("_s",)),
+        (StepBeta(part, [0.2, 0.6]), ("_s", "_t")),
+        (MatchProfile.from_kind("linear", part), ("_values",)),
+        (PsiInterpolator((0.2, 0.5), [[0.1], [0.2]]), ("_anchors",)),
+    ]
+    for obj, arrays in typed:
+        data = pickle.dumps(obj)
+        clone = pickle.loads(data)
+        assert type(clone) is type(obj)
+        for name in arrays:
+            # numpy would pickle the stored array writeable; the constructor
+            # rebuilds it read-only, and the pickle holds only the init fields
+            assert name.encode() not in data
+            assert np.array_equal(getattr(clone, name), getattr(obj, name))
+            assert not getattr(clone, name).flags.writeable
+    assert pickle.loads(pickle.dumps(part)) == part
+    # 323 bytes while the arrays went into the pickle
+    assert b"numpy" not in pickle.dumps(StepBeta(part, [0.2, 0.6]))
+    assert len(pickle.dumps(StepBeta(part, [0.2, 0.6]))) < 160
 
 
 # lines of a ratings file: valid rows repeat, and every other kind of line

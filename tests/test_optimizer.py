@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratecraft.core import MatchProfile
+from ratecraft.core import MatchProfile, Partition
 from ratecraft.optimizer import (
     ConvergenceError,
     SolverConfig,
@@ -114,6 +114,16 @@ class TestEqualizeChain:
                 0.05, 0.95, 3, (1.0, 2.0, 3.0, 4.0, 5.0), SolverConfig(max_outer=1)
             )
 
+    def test_a_step_that_breaks_the_level_order_is_halved(self):
+        # the first full Newton step for these intensities puts the levels
+        # out of order, so the solve halves it and still equalizes
+        g = (1.0, 100.0, 1.0, 100.0)
+        levels = equalize_chain(0.0, 1.0, 2, g)
+        rates = adjacent_rates([0.0, *levels, 1.0], g)
+        assert (max(rates) - min(rates)) / max(rates) < 1e-13
+        with pytest.raises(ConvergenceError, match="could not keep the levels increasing"):
+            equalize_chain(0.0, 1.0, 2, g, SolverConfig(max_inner=1))
+
     def test_constant_matching_needs_no_iteration(self):
         levels = equalize_chain(0.05, 0.95, 3, (2.0,) * 5, SolverConfig(max_outer=1))
         lo, hi = math.asin(math.sqrt(0.05)), math.asin(math.sqrt(0.95))
@@ -180,6 +190,19 @@ class TestRandomProfiles:
 
 
 class TestNestedBisection:
+    @pytest.mark.parametrize("M", (2, 4))
+    def test_plain_breakpoints_build_one_partition(self, monkeypatch, M):
+        built = []
+        check = Partition.__post_init__
+        monkeypatch.setattr(Partition, "__post_init__", lambda part: built.append(check(part)))
+        breakpoints = [k / M for k in range(M + 1)]
+        result = nested_bisection(M, breakpoints=breakpoints)
+        assert result.beta.s == tuple(breakpoints)
+        assert len(built) == 1
+        nested_bisection(M, breakpoints=result.beta)
+        nested_bisection(M, breakpoints=Partition(breakpoints))
+        assert len(built) == 2
+
     def test_three_levels_closed_form(self):
         result = nested_bisection(3)
         assert result.beta.t[0] == 0.0

@@ -12,7 +12,6 @@ from ratecraft.core import normalize_weight
 from ratecraft.partition import (
     MAX_GRID,
     Partition,
-    _GridMass,
     asymptotic_value,
     equispaced_partition,
     interval_mass,
@@ -63,10 +62,9 @@ def dense_dp(w, M, G):
     Shares only the grid mass evaluation with ``optimize_partition``; ties
     go to the first index, as there.
     """
-    mass = _GridMass(w, G)
     T = np.full((G + 1, G + 1), np.inf)
     for a in range(G):
-        T[a, a + 1 :] = mass.span(a, np.arange(a + 1, G + 1))
+        T[a, a + 1 :] = w._grid_mass(G, a, np.arange(a + 1, G + 1))
     cost = [T[:, G]]  # cost[j - 1][a]: best split of [a/G, 1] into j intervals
     for _ in range(2, M + 1):
         cost.append(np.min(T + cost[-1][None, :], axis=1))
@@ -343,14 +341,13 @@ class TestCustomMassTable:
     def test_within_mass_is_the_dp_cost(self):
         w, M, G = custom_weight(), 20, 400
         part = optimize_partition(w, M, G)
-        mass = _GridMass(w, G)
         oracle = dense_dp(w, M, G)
         assert part.s == oracle
         bounds = [round(v * G) for v in oracle]
-        cost = sum(float(mass.span(a, np.array([b]))[0]) for a, b in zip(bounds, bounds[1:]))
+        cost = sum(float(w._grid_mass(G, a, np.array([b]))[0]) for a, b in zip(bounds, bounds[1:]))
         assert within_mass(w, part, G) == pytest.approx(cost, rel=1e-14, abs=0.0)
         for a, b in zip(bounds, bounds[1:]):
-            assert interval_mass(w, a / G, b / G, G) == mass.span(a, np.array([b]))[0]
+            assert interval_mass(w, a / G, b / G, G) == w._grid_mass(G, a, np.array([b]))[0]
 
     def test_weight_undefined_above_the_diagonal(self):
         with np.errstate(invalid="raise"):

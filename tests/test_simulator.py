@@ -83,6 +83,33 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="metric"):
             SimConfig(design=FLAT, steps=5, metrics=())
 
+    def test_rejects_duplicate_metrics(self):
+        with pytest.raises(ValueError, match="^duplicate metric 'kendall'$"):
+            SimConfig(design=FLAT, steps=5, metrics=("kendall", "top", "kendall"))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_items", 10.5, "n_items must be an integer of at least 2, got 10.5"),
+        ("n_items", math.nan, "n_items must be an integer of at least 2, got nan"),
+        ("n_buyers", 2.5, "n_buyers must be an integer of at least 1, got 2.5"),
+        ("n_buyers", True, "n_buyers must be an integer of at least 1, got True"),
+        ("steps", 3.5, "steps must be an integer of at least 1, got 3.5"),
+        ("replicates", 1.5, "replicates must be an integer of at least 1, got 1.5"),
+        ("seed", 1.5, "seed must be an integer of at least 0, got 1.5"),
+        ("seed", -1, "seed must be an integer of at least 0, got -1"),
+        ("seed", False, "seed must be an integer of at least 0, got False"),
+        ("record_at", (2.5,), "record step must be an integer of at least 1, got 2.5"),
+        ("record_at", (True, 3), "record step must be an integer of at least 1, got True"),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            SimConfig(**{"design": FLAT, "steps": 5, field: value})
+        assert str(err.value) == message
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SimConfig(design=FLAT, steps=np.int64(5), n_items=np.int64(10), seed=np.uint32(3),
+                        record_at=(np.int64(4), 2, 4))
+        assert cfg.record_at == (2, 4) and all(type(k) is int for k in cfg.record_at)
+
     def test_record_at_sorted_and_deduplicated(self):
         cfg = SimConfig(design=FLAT, steps=50, record_at=(30, 10, 10, 50))
         assert cfg.record_at == (10, 30, 50)
@@ -397,6 +424,31 @@ class TestRunSimulation:
         rows = run_simulation(cfg).rows
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "abac88ba53099857e4faada2cf9d06f544bceca2ce245e41fd5fa64f1e3948fb"
+
+    @pytest.mark.parametrize("jobs, replicates, workers", [(64, 2, 2), (2, 3, 2)])
+    def test_starts_at_most_one_worker_per_replicate(self, monkeypatch, jobs, replicates, workers):
+        import concurrent.futures
+
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = SimConfig(design=SPLIT, steps=4, n_items=6, n_buyers=3, replicates=replicates)
+        rows = run_simulation(cfg, jobs=jobs).rows
+        assert started == [workers]
+        assert rows == run_simulation(cfg).rows
 
     def test_jobs_must_be_positive(self):
         cfg = SimConfig(design=FLAT, steps=5)
