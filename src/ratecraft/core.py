@@ -354,7 +354,8 @@ class WeightSpec:
         return np.array(_NAMED_WEIGHTS[self.kind].P(t), dtype=float)
 
     def _table(self, grid: int) -> np.ndarray:
-        """The raw mass table at ``grid``, built on first use and kept."""
+        """The packed raw mass table at ``grid`` (see :func:`_mass_table`),
+        built on first use and kept."""
         grid = _checked_count(grid, "grid")
         if grid not in self._tables:
             self._tables[grid] = _mass_table(self.raw, grid)
@@ -362,16 +363,17 @@ class WeightSpec:
 
     def _grid_mass(self, grid: int, a, b) -> np.ndarray:
         """Within mass of [a/grid, b/grid], grid indices a < b: a named kind's
-        closed form, or a custom weight's mass table at ``grid``."""
+        closed form, or a custom weight's mass table at ``grid``.  Pairs with
+        b <= a give finite values that mean nothing."""
         named = _NAMED_WEIGHTS.get(self.kind)
         if named is not None:
             return named.interval_mass(a / grid, b / grid)
-        return self.constant * self._table(grid)[a, b]
+        return self.constant * self._table(grid)[_packed_index(a, b)]
 
     def quadrature_integral(self, grid: int = 1000) -> float:
         """Integral over {theta1 > theta2} by the midpoint rule on ``grid``
         cells per side: the total of the grid's mass table, normalized."""
-        return float(self.constant * self._table(grid)[0, grid])
+        return float(self.constant * self._table(grid)[_packed_index(0, grid)])
 
 
 def _mass_table(
@@ -384,14 +386,15 @@ def _mass_table(
     midpoint of a cell below the diagonal, and at the centroid of a
     diagonal cell's lower half.  Column b + 1 is column b plus row b's
     running sum of cells taken from the diagonal leftward, so every row
-    of T is nondecreasing in b even in floating point.  T is the
-    transpose of a C-ordered array; entries with a > b are 0.
+    of T is nondecreasing in b even in floating point.  Only a <= b is
+    stored: column b, T[0..b, b], is packed at ``_packed_index(0, b)``,
+    (grid + 1) * (grid + 2) / 2 floats in all.
     """
     h = 1.0 / grid
     mids = (np.arange(grid) + 0.5) * h
     base = np.arange(grid) * h
     upper, lower = base + 2.0 * h / 3.0, base + h / 3.0
-    by_column = np.zeros((grid + 1, grid + 1))
+    packed = np.zeros(_packed_index(0, grid + 1))
     for b in range(grid):
         theta1 = np.append(np.full(b, mids[b]), upper[b])
         cells = np.asarray(raw(theta1, np.append(mids[:b], lower[b])), dtype=float) * (h * h)
@@ -400,8 +403,14 @@ def _mass_table(
             if (cells < 0.0).any():
                 raise ValueError("custom weight must be nonnegative on theta1 > theta2")
             raise ValueError("weight must be finite on the grid")
-        by_column[b + 1, : b + 1] = by_column[b, : b + 1] + np.cumsum(cells[::-1])[::-1]
-    return by_column.T
+        column, after = _packed_index(0, b), _packed_index(0, b + 1)
+        packed[after : after + b + 1] = packed[column:after] + np.cumsum(cells[::-1])[::-1]
+    return packed
+
+
+def _packed_index(a, b):
+    """Where ``_mass_table`` stores T[a, b], a <= b."""
+    return b * (b + 1) // 2 + a
 
 
 def normalize_weight(
@@ -425,7 +434,7 @@ def normalize_weight(
         raise ValueError("custom weight needs a raw callable")
     grid = _checked_count(grid, "grid")
     table = _mass_table(raw, grid)
-    total = float(table[0, grid])
+    total = float(table[_packed_index(0, grid)])
     if not math.isfinite(total) or total <= 0.0:
         raise ValueError("custom weight must have positive integral")
     return WeightSpec("custom", 1.0 / total, raw, {grid: table})

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 # Largest breakpoint grid the dynamic program accepts: its tiled mass table
-# holds about grid**2 / 2 floats, and the search peaks at 74.6 MiB
+# holds about grid**2 / 2 floats, and the search peaks at 74.2 MiB
 # (tracemalloc, bottom weight, M=3) at this limit.
 MAX_GRID = 4096
 # Columns per tile of the mass table; the sweep bounds and skips whole tiles.
@@ -91,16 +91,24 @@ def _mass_tiles(w: WeightSpec, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``tiles[base[a] + t]``.  Entries with b <= a or b > G are +inf, so a
     min-plus step never picks them.  ``tile_min[a, t]`` is the least entry
     of that tile, +inf for tiles row a does not keep.
+
+    The rows of one band, those with the same first tile f, keep the same
+    tiles and lie next to each other, so the band is one (rows, columns)
+    view of ``tiles`` and is filled by one ``_grid_mass`` call.
     """
     n_cols = -(-G // _TILE)
     first = np.arange(G) // _TILE
     kept = n_cols - first
     base = np.concatenate([[0], np.cumsum(kept[:-1])]) - first
     tiles = np.full((int(kept.sum()), _TILE), np.inf)
-    flat = tiles.reshape(-1)
-    for a in range(G):
-        at = (base[a] + first[a]) * _TILE + a % _TILE
-        flat[at : at + G - a] = w._grid_mass(G, a, np.arange(a + 1, G + 1))
+    for f in range(n_cols):
+        a = np.arange(f * _TILE, min(f * _TILE + _TILE, G))[:, None]
+        b = np.arange(f * _TILE + 1, n_cols * _TILE + 1)
+        start = base[f * _TILE] + f
+        band = tiles[start : start + len(a) * (n_cols - f)].reshape(len(a), -1)
+        # columns past G read T[a, G] and are then left +inf
+        mass = w._grid_mass(G, a, np.minimum(b, G)[None, :])
+        np.copyto(band, mass, where=(a < b) & (b <= G))
     tile_min = np.full((G, n_cols), np.inf)
     tile_min[np.arange(n_cols) >= first[:, None]] = tiles.min(axis=1)
     return tiles, base, tile_min
@@ -148,9 +156,14 @@ def optimize_partition(
     b = 32t+1 .. 32t+32, and row a keeps its tiles from a // 32 on, in
     one flat array.  That is about grid**2 / 2 floats plus grid * 32 of
     padding, and beside it the least entry of every (row, tile),
-    grid**2 / 32 floats.  The table's memory is why ``grid`` may not
-    exceed ``MAX_GRID`` on this route; there the search peaks at 74.6 MiB
-    (tracemalloc, M = 3), and at 5.4 MiB for grid = 1000 and M = 200.
+    grid**2 / 32 floats.  The 32 rows of a band, a // 32 alike, keep the
+    same tiles side by side, so each band is filled by one grid-mass call
+    on a (rows, columns) grid: grid / 32 calls in all.  Elementwise
+    ufuncs give the same floats on that grid as on one row, so the table
+    is the row-by-row table bit for bit.  The table's memory is why
+    ``grid`` may not exceed ``MAX_GRID`` on this route; there the search
+    peaks at 74.2 MiB (tracemalloc, M = 3), and at 5.4 MiB for
+    grid = 1000 and M = 200.
 
     Rows.  Layer j sweeps only starts a in [M - j, grid - j]: a smaller a
     cannot be reached from 0 by M - j intervals of at least one cell, and
@@ -161,19 +174,21 @@ def optimize_partition(
     with b in the tile, exactly, because rounding is monotone.  The tile
     with the least lb is evaluated first; its minimum ub is a value the
     row reaches, so a tile with lb > ub holds no minimizer and is
-    skipped.  The tiles with lb <= ub, ties with ub included, are
-    evaluated with the very sums a dense sweep forms, tiles in column
-    order and the first minimum within each, and the first b reaching
-    the row's minimum is kept.  Costs and breakpoints are therefore those
-    of the dense sweep bit for bit, and ties go to the lexicographically
-    smallest breakpoint vector.
+    skipped.  The other tiles with lb <= ub, ties with ub included, are
+    evaluated next, each once, with the very sums a dense sweep forms.
+    Every evaluated tile gives its minimum and the first b reaching it;
+    the row's minimum is the least of these, and its least b among the
+    tiles that reach it is kept.  Costs and breakpoints are therefore
+    those of the dense sweep bit for bit, and ties go to the
+    lexicographically smallest breakpoint vector.
 
     Cost.  A layer takes R * grid / 32 bound entries, R = grid - M + 1
-    rows, plus 32 entries for the first tile and for each surviving
-    tile of a row.  At M = 200 and grid = 1000, 1.3 to 1.8 tiles survive
-    per row on average (top, bottom, extremes), so a layer touches 12-15%
-    of the entries the dense O(grid**2) layer does.  Its temporaries are
-    R * grid / 32 floats for the bounds and 2 * ``_EVAL_TILES`` tiles.
+    rows, plus 32 entries for each evaluated tile of a row.  At M = 200
+    and grid = 1000 a row evaluates 1.3, 1.6 and 1.8 tiles on average
+    (bottom, top, extremes), so a layer touches 7-9% of the entries the
+    dense O(grid**2) layer does; the layers together read 31-54% of the
+    table's tiles.  Its temporaries are R * grid / 32 floats for the
+    bounds and 2 * ``_EVAL_TILES`` tiles.
 
     Parameters
     ----------
@@ -220,8 +235,6 @@ def optimize_partition(
     cost[:G] = tiles[base[:G] + (G - 1) // _TILE, (G - 1) % _TILE]
     # int16 holds every index up to MAX_GRID
     step = np.zeros((M + 1, G + 1), dtype=np.int16)
-    # each layer sweeps G - M + 1 rows; the flat (row, tile 0) index of each
-    row_first = np.arange(G - M + 1) * n_cols
     for j in range(2, M + 1):
         # only starts reachable from 0 by M - j intervals that can still
         # be split into j intervals
@@ -231,21 +244,26 @@ def optimize_partition(
         # fl() is monotone, so lb bounds every sum fl(T + cost) in a tile
         lb = tile_min[lo : hi + 1] + cost_tiles.min(axis=1)
         best = lb.argmin(axis=1)
-        _, ub = _tile_argmin(tiles, cost_tiles, row_base + best, best)
-        # a tile with lb > ub holds no minimizer; ties with ub survive
-        keep = np.flatnonzero(lb <= ub[:, None])
+        k_best, ub = _tile_argmin(tiles, cost_tiles, row_base + best, best)
+        # a tile with lb > ub holds no minimizer; ties with ub survive, and
+        # the best tile, evaluated already, is not evaluated again
+        keep = lb <= ub[:, None]
+        keep[np.arange(len(best)), best] = False
+        keep = np.flatnonzero(keep)
         del lb  # (G - M + 1) x n_cols floats, freed before the second gather
         rows, cols = np.divmod(keep, n_cols)
         k, val = _tile_argmin(tiles, cost_tiles, row_base[rows] + cols, cols)
-        # keep runs row by row and, within a row, tile by tile in column
-        # order, so the first hit of a row's minimum is its first minimizer
-        starts = keep.searchsorted(row_first)
-        row_min = np.minimum.reduceat(val, starts)
-        hits = np.flatnonzero(val == row_min[rows])
-        pick = hits[hits.searchsorted(starts)]
+        row_min = ub.copy()
+        np.minimum.at(row_min, rows, val)
+        # each evaluated tile gives its first minimizer, so the least b
+        # among the tiles reaching the row's minimum is the row's first
+        # minimizer; some tile always reaches it, so G + 1 never stays
+        first_b = np.where(ub == row_min, best * _TILE + k_best + 1, G + 1)
+        hits = val == row_min[rows]
+        np.minimum.at(first_b, rows[hits], cols[hits] * _TILE + k[hits] + 1)
         cost = np.full_like(cost, np.inf)
         cost[lo : hi + 1] = row_min
-        step[j, lo : hi + 1] = cols[pick] * _TILE + k[pick] + 1
+        step[j, lo : hi + 1] = first_b
 
     bounds = [0]
     for j in range(M, 1, -1):

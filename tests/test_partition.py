@@ -12,6 +12,7 @@ from ratecraft.core import normalize_weight
 from ratecraft.partition import (
     MAX_GRID,
     Partition,
+    _mass_tiles,
     asymptotic_value,
     equispaced_partition,
     interval_mass,
@@ -210,6 +211,13 @@ class TestOptimizePartition:
             # (32 | 33 and 64 | 65); taking the last tied tile changes these
             ("kendall", 2, 65),
             ("kendall", 3, 97),
+            # dyadic grids, so the ties are exact, on which the tile with
+            # the least bound is not the first tile reaching a row's
+            # minimum; letting the least-bound tile win ties changes these
+            ("kendall", 15, 128),
+            ("spearman", 15, 128),
+            ("spearman", 21, 128),
+            ("kendall", 21, 256),
         ],
     )
     def test_exact_ties_across_tiles(self, kind, M, G):
@@ -358,8 +366,9 @@ class TestCustomMassTable:
     @pytest.mark.parametrize("raw", CUSTOM_RAWS.values(), ids=CUSTOM_RAWS)
     def test_table_rows_never_decrease(self, raw):
         for G in (120, 400):
-            table = normalize_weight("custom", raw=raw, grid=G)._table(G)
-            assert (np.diff(table, axis=1) >= 0.0).all()
+            w = normalize_weight("custom", raw=raw, grid=G)
+            for a in range(G + 1):
+                assert (np.diff(w._grid_mass(G, a, np.arange(a, G + 1))) >= 0.0).all()
 
     def test_interval_ends_must_lie_on_the_grid(self):
         w = custom_weight()
@@ -381,6 +390,44 @@ class TestCustomMassTable:
         finally:
             tracemalloc.stop()
         assert peak <= 5.65 * 2**20
+
+    def test_table_memory_stays_triangular(self):
+        # measured 64.05 MiB held: the (G+1)(G+2)/2 floats of the packed
+        # table, where a square table held 128 MiB; the limit allows 10% more
+        tracemalloc.start()
+        try:
+            w = normalize_weight("custom", raw=CUSTOM_RAWS["(a-b)(1+ab)"], grid=MAX_GRID)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.quadrature_integral(MAX_GRID) == pytest.approx(1.0)
+        assert held <= 70.5 * 2**20
+
+
+class TestMassTiles:
+    """The band-filled tiles against a table built one row at a time."""
+
+    @pytest.mark.parametrize("G", (2, 5, 31, 32, 33, 64, 257, 1000))
+    @pytest.mark.parametrize("kind", (*NAMED, *CUSTOM_RAWS))
+    def test_tiles_match_rows(self, kind, G):
+        if kind in NAMED:
+            w = normalize_weight(kind)
+        else:
+            w = normalize_weight("custom", raw=CUSTOM_RAWS[kind], grid=G)
+        tiles, base, tile_min = _mass_tiles(w, G)
+        n_cols = -(-G // 32)
+        # T[a, b - 1] for b = 1 .. 32 * n_cols, +inf off the triangle
+        T = np.full((G, 32 * n_cols), np.inf)
+        for a in range(G):
+            T[a, a:G] = w._grid_mass(G, a, np.arange(a + 1, G + 1))
+        by_tile = T.reshape(G, n_cols, 32)
+        assert len(tiles) == sum(n_cols - a // 32 for a in range(G))
+        for a in range(G):
+            kept = range(a // 32, n_cols)
+            assert np.array_equal(tiles[[base[a] + t for t in kept]], by_tile[a, a // 32 :])
+        expected_min = by_tile.min(axis=2)
+        expected_min[np.arange(n_cols) < np.arange(G)[:, None] // 32] = np.inf
+        assert np.array_equal(tile_min, expected_min)
 
 
 _RAW = CUSTOM_RAWS["(a-b)(1+ab)"]
