@@ -175,10 +175,13 @@ def _is_count(value, least: int = 1) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
-def _checked_count(value, name: str, least: int = 1) -> int:
-    """``value``, an integer of at least ``least``, as an int."""
+def _checked_count(value, name: str, least: int = 1, most: int | None = None) -> int:
+    """``value``, an integer of at least ``least`` and, if given, at most
+    ``most``, as an int."""
     if not _is_count(value, least):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be an integer of at most {most}, got {value!r}")
     return int(value)
 
 

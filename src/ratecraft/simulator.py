@@ -76,8 +76,10 @@ class SimConfig:
                 raise ValueError(f"duplicate metric {m!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        # numpy's draws and the record schedule hold each count in an int64
+        most = np.iinfo(np.int64).max
         for name, least in ("n_items", 2), ("n_buyers", 1), ("steps", 1), ("replicates", 1):
-            _checked_count(getattr(self, name), name, least)
+            _checked_count(getattr(self, name), name, least, most)
         _checked_count(self.seed, "seed", 0)
         if self.record_at is not None:
             rec = tuple(sorted(set(self.record_at)))

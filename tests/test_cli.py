@@ -592,6 +592,16 @@ class TestSimulate:
         assert "list of numbers" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--steps", "--buyers"])
+    def test_count_beyond_int64_is_input_error(self, design_file, tmp_path, capsys, flag):
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "simulate", "--design", str(design_file),
+                           flag, "9999999999999999999999", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most 9223372036854775807, got 9999999999999999999999" in err
+        assert not out.exists()
+
 
 class TestFigure:
     def test_beta_panel(self, tmp_path, capsys):
@@ -674,19 +684,19 @@ run("estimate-psi", "--mode", "known", "--ratings", d / "ratings.csv",
     "--qualities", d / "qualities.csv", "--out", d / "est.csv")
 run("simulate", "--design", d / "d.json", "--steps", 5, "--items", 20,
     "--buyers", 5, "--death", 0.1, "--out", d / "sim.csv")
-assert not scipy_modules(), ("constant matching", scipy_modules())
+run("fit-h", "--beta", d / "d.json", "--psi", d / "psi.csv", "--out", d / "h.json")
+assert not scipy_modules(), ("constant matching and fit", scipy_modules())
 
 run("optimize-beta", "--M", 20, "--grid", 100, "--g", "linear", "--out", d / "l.json")
 assert "scipy.linalg" in sys.modules
-run("fit-h", "--beta", d / "d.json", "--psi", d / "psi.csv", "--out", d / "h.json")
-assert "scipy.optimize" in sys.modules
 print("ok")
 """
 
 
 def test_scipy_loads_only_where_used(tmp_path, bank_file):
-    """Importing the CLI and every subcommand that needs no LP and no
-    Newton level solve leave scipy unloaded; the two that do still run."""
+    """Importing the CLI and every subcommand that needs no Newton level
+    solve, the question fit included, leave scipy unloaded; a level solve
+    under linear matching still runs and loads scipy.linalg."""
     (tmp_path / "qualities.csv").write_text("item_id,theta\na,0.2\nb,0.8\n")
     (tmp_path / "ratings.csv").write_text(
         "item_id,question,response\na,q,0\na,q,1\nb,q,1\nb,q,1\n"

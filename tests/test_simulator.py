@@ -105,6 +105,15 @@ class TestSimConfig:
             SimConfig(**{"design": FLAT, "steps": 5, field: value})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("field", ["n_items", "n_buyers", "steps", "replicates"])
+    def test_rejects_counts_beyond_int64(self, field):
+        # only the constructor runs: a config this large is never simulated
+        with pytest.raises(ValueError) as err:
+            SimConfig(**{"design": FLAT, "steps": 5, field: 2**63})
+        assert str(err.value) == f"{field} must be an integer of at most {2**63 - 1}, got {2**63}"
+        cfg = SimConfig(**{"design": FLAT, "steps": 5, field: 2**63 - 1})
+        assert getattr(cfg, field) == 2**63 - 1
+
     def test_numpy_integer_counts_accepted(self):
         cfg = SimConfig(design=FLAT, steps=np.int64(5), n_items=np.int64(10), seed=np.uint32(3),
                         record_at=(np.int64(4), 2, 4))
