@@ -74,8 +74,9 @@ def fit_h(
     Minimizes ``sum_i u_i |beta(theta_i) - (psi H)_i|`` over the simplex,
     rewritten with two deviations per anchor quality, the target's excess
     p_i over the mix and its shortfall q_i: psi H + p - q = beta(theta),
-    sum(H) = 1, all nonnegative, cost u·(p + q).  ``constraint="single_question"``
-    restricts H to a point mass; ties go to the lowest question index.
+    sum(H) = 1, all nonnegative, cost u·(p + q).
+    ``constraint="single_question"`` restricts H to a point mass; ties go
+    to the lowest question index.
     ``theta_weights`` (optional, default equal) weight the anchors.
 
     The free fit solves this LP exactly by the simplex method, started
@@ -123,8 +124,8 @@ def _solve(a: list, b: list) -> list | None:
         rows[c], rows[p] = rows[p], rows[c]
         pivot = rows[c]
         for r in range(k):
-            f = rows[r][c] / pivot[c]
-            if r != c and f:
+            if r != c and rows[r][c]:
+                f = rows[r][c] / pivot[c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], pivot)]
     return [row[k] / row[c] for c, row in enumerate(rows)]
 
