@@ -234,7 +234,7 @@ def _within_blocks(r: np.ndarray, t: np.ndarray, v: np.ndarray, ka: int) -> np.n
     aligned block, by one batched product with each block's signed
     ``_BLOCK`` x ``_BLOCK`` matrix: rows below ``ka`` plain, the others
     gapped."""
-    kv, size = v.shape
+    kv = len(v)
     rb = r.reshape(-1, _BLOCK)
     tb = t.reshape(-1, _BLOCK)
     vb = v.reshape(kv, -1, _BLOCK, 1)
@@ -244,52 +244,57 @@ def _within_blocks(r: np.ndarray, t: np.ndarray, v: np.ndarray, ka: int) -> np.n
     if kv > ka:
         s *= tb[:, :, None] - tb[:, None, :]
         np.matmul(s, vb[ka:], out=out[ka:])
-    return out.reshape(kv, size)
+    return out.reshape(v.shape)
 
 
 def _signed_dominance(
     ranks: np.ndarray, theta: np.ndarray, plain: np.ndarray, gapped: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sums over lower positions, for plain and for gapped rows.
+    """Signed sums over lower positions, for plain and for gapped rows,
+    in K markets of n items at once.
 
-    With ``s = sign(ranks[p] - ranks[q])``, returns ``A`` and ``B`` with
-    ``A[k, p] = sum over q < p of plain[k, q] * s`` and
-    ``B[k, p] = sum over q < p of (theta[p] - theta[q]) * gapped[k, q] * s``.
-    ``ranks`` holds nonnegative integers, ``theta`` is nondecreasing and
-    ``gapped`` nonnegative.
+    With ``s = sign(ranks[m, p] - ranks[m, q])``, returns ``A`` and ``B``
+    with ``A[k, m, p] = sum over q < p of plain[k, m, q] * s`` and
+    ``B[k, m, p] = sum over q < p of (theta[m, p] - theta[m, q]) * gapped[k, m, q] * s``.
+    ``ranks`` is (K, n) nonnegative integers; ``theta``, each row
+    nondecreasing, and the nonnegative mass rows may hold one market
+    that all K share.
 
-    Positions are padded to a power of two.  Aligned blocks of ``_BLOCK``
-    positions are compared densely (:func:`_within_blocks`); then each
-    merge level pairs neighbouring blocks, adds the left block's sums
-    below minus above every rank into the right block, and merges the two
-    rank orders.  For the gapped rows the gap is centred at the left
-    block's top quality c: theta_i - theta_j = (theta_i - c) + (c -
-    theta_j), both parts nonnegative, so a right item i gains
+    Each market is padded to a power of two ``size`` and the markets lie
+    end to end.  Aligned blocks of ``_BLOCK`` positions are compared
+    densely (:func:`_within_blocks`); then each merge level below
+    ``size`` pairs neighbouring blocks of one market, adds the left
+    block's sums below minus above every rank into the right block, and
+    merges the two rank orders.  For the gapped rows the gap is centred
+    at the left block's top quality c: theta_i - theta_j = (theta_i - c)
+    + (c - theta_j), both parts nonnegative, so a right item i gains
     (theta_i - c) * X_i + Y_i, where X sums ``gapped`` and Y sums
     ``(c - theta) * gapped`` over the left block.  Every summed term is
     then a nonnegative part of a pair weight, which keeps the rounding
-    error within a few ulps of the total weight.  Time is O(K n log n) and
-    memory O(K n).  Every step is an elementwise operation, a running sum
-    along one row or a product with one row, so row k's result does not
-    depend on the other rows.
+    error within a few ulps of the total weight.  Time is O(k K n log n)
+    and memory O(k K n).  Every step is an elementwise operation, a
+    running sum along one row or a product with one row, so each row's
+    result, in each market, is what a lone call gives, bit for bit.
     """
-    n = ranks.size
-    ka = plain.shape[0]
-    kv = ka + gapped.shape[0]
+    markets, n = ranks.shape
+    ka = len(plain)
+    kv = ka + len(gapped)
     size = max(_BLOCK, 1 << (n - 1).bit_length())
     pad = int(ranks.max()) + 1
-    r = np.full(size, pad, dtype=np.int64)
-    r[:n] = ranks
+    r = np.full((markets, size), pad, dtype=np.int64)
+    r[:, :n] = ranks
     # padding sits at the top quality and carries no mass
-    t = np.full(size, theta[-1])
-    t[:n] = theta
-    v = np.zeros((kv, size))
-    v[:ka, :n] = plain
-    v[ka:, :n] = gapped
-    out = _within_blocks(r, t, v, ka)
+    t = np.empty((markets, size))
+    t[:, :n] = theta
+    t[:, n:] = theta[:, -1:]
+    v = np.zeros((kv, markets, size))
+    v[:ka, :, :n] = plain
+    v[ka:, :, :n] = gapped
+    out = _within_blocks(r, t, v, ka).reshape(kv, -1)
+    r, t, v = r.ravel(), t.ravel(), v.reshape(kv, -1)
     # positions of each block, in rank order
     perm = np.argsort(r.reshape(-1, _BLOCK), axis=1, kind="stable")
-    perm += np.arange(0, size, _BLOCK)[:, None]
+    perm += np.arange(0, r.size, _BLOCK)[:, None]
     h = _BLOCK
     while h < size:
         pairs = perm.reshape(-1, 2 * h)
@@ -318,7 +323,8 @@ def _signed_dominance(
         if h < size:
             order = np.argsort(r[pairs], axis=1, kind="stable")
             perm = pairs.ravel()[order + row * h]
-    return out[:ka, :n], out[ka:, :n]
+    out = out.reshape(kv, markets, size)
+    return out[:ka, :, :n], out[ka:, :, :n]
 
 
 # Below this total raw weight (2**52 times the smallest normal float) the
@@ -347,8 +353,19 @@ def _written_out(w: WeightSpec, theta: np.ndarray, scores: np.ndarray, mass: np.
     return float(num / den) if den else math.nan
 
 
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks within each row of ``x``, from 0, equal values sharing one."""
+    order = np.argsort(x, axis=-1)
+    x = np.take_along_axis(x, order, -1)
+    step = np.zeros(x.shape, dtype=np.int64)
+    step[:, 1:] = x[:, 1:] != x[:, :-1]
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=-1, out=step), -1)
+    return ranks
+
+
 class _RankObjective:
-    """Weighted rank agreement of one market under several named weights.
+    """Weighted rank agreement of K markets under several named weights.
 
     Kendall weighs every pair of distinct qualities by 1.  Every other
     named weight is ``gapped``: raw(a, b) = P(a) P(b) (a - b), where
@@ -360,19 +377,21 @@ class _RankObjective:
     from gap prefix sums, sum_i P_i sum_{g<i} (theta_{g+1} - theta_g)
     (P_0 + ... + P_g), whose terms are all nonnegative.  Equal qualities
     have a zero gap, so only Kendall needs a tie correction; its sums are
-    of integers and exact.  The quality order, the P rows and the
-    denominators are kept until :meth:`rebuild` is called for new
-    qualities.
+    of integers and exact.  :meth:`rebuild` keeps the quality order, P
+    rows and denominators of K markets, given as (K, n) qualities, or of
+    one market that every row of scores then shares.  Each sort, running
+    sum and total runs along the last axis, so K markets give the values
+    of K lone ones.
     """
 
     def __init__(self, weights: Sequence[WeightSpec]):
         self.weights = tuple(weights)
 
     def rebuild(self, theta: np.ndarray) -> None:
-        self.order = np.argsort(theta, kind="stable")
-        t = theta[self.order]
+        self.order = np.argsort(theta, axis=-1, kind="stable")
+        t = np.take_along_axis(theta, self.order, -1)
         # argsort puts NaN last, so this also rejects NaN
-        if not (t[0] >= 0.0 and t[-1] <= 1.0):
+        if not (np.all(t[:, 0] >= 0.0) and np.all(t[:, -1] <= 1.0)):
             raise ValueError("qualities must be finite and lie within [0, 1]")
         self.theta = t
         self.mass = np.stack([w.mass(t) for w in self.weights])
@@ -380,44 +399,50 @@ class _RankObjective:
         self.is_plain = np.array([not _NAMED_WEIGHTS[w.kind].gapped for w in self.weights])
         self.plain = self.mass[self.is_plain]
         self.gapped = self.mass[~self.is_plain]
-        n = t.size
-        first = np.ones(n, dtype=bool)
-        first[1:] = t[1:] != t[:-1]
+        first = np.ones(t.shape, dtype=bool)
+        first[:, 1:] = t[:, 1:] != t[:, :-1]
         # pairs of equal quality carry no weight: for Kendall only items
         # before an item's tie group count as lower
-        self.start = np.maximum.accumulate(np.where(first, np.arange(n), 0))
-        self.group = None if first.all() else np.cumsum(first) - 1
-        # lower[k, i] = sum over j < i of (t_i - t_j) P_j, built from the
+        self.start = np.maximum.accumulate(np.where(first, np.arange(t.shape[1]), 0), axis=-1)
+        self.tied = np.flatnonzero(~first.all(axis=-1))
+        self.group = np.cumsum(first[self.tied], axis=-1) - 1 if self.tied.size else None
+        # lower[k, m, i] = sum over j < i of (t_i - t_j) P_j, built from the
         # gaps between neighbours so that no term is negative
-        lower = np.zeros((self.gapped.shape[0], n))
-        np.cumsum(np.cumsum(self.gapped[:, :-1], axis=1) * np.diff(t), axis=1, out=lower[:, 1:])
-        den = np.empty(len(self.weights))
-        den[self.is_plain] = (self.plain * self.start).sum(axis=1)
-        den[~self.is_plain] = (self.gapped * lower).sum(axis=1)
+        lower = np.zeros(self.gapped.shape)
+        np.cumsum(np.cumsum(self.gapped[..., :-1], axis=-1) * np.diff(t), axis=-1, out=lower[..., 1:])
+        den = np.empty((len(self.weights), len(t)))
+        den[self.is_plain] = (self.plain * self.start).sum(axis=-1)
+        den[~self.is_plain] = (self.gapped * lower).sum(axis=-1)
         self.denominators = den
-        self.subnormal = np.flatnonzero(~self.is_plain & (den < _SUBNORMAL_TOTAL))
+        self.subnormal = ~self.is_plain[:, None] & (den < _SUBNORMAL_TOTAL)
 
-    def values(self, scores: np.ndarray) -> list[float]:
-        """One objective per weight; score ties contribute zero."""
-        scores = scores[self.order]
-        ranks = np.unique(scores, return_inverse=True)[1]
+    def values(self, scores: np.ndarray) -> list[list[float]]:
+        """One objective per weight for each row of ``(K, n)`` scores, in
+        the markets of the last :meth:`rebuild`; score ties contribute zero."""
+        scores = np.take_along_axis(scores, self.order, -1)
+        ranks = _dense_ranks(scores)
         A, B = _signed_dominance(ranks, self.theta, self.plain, self.gapped)
         if self.group is not None and A.size:
             # the positional pass also counted earlier members of each
             # item's own tie group; those are exactly the pairs that rank
             # before the item under the key (group, rank) minus the
             # items of earlier groups
-            key = self.group * (int(ranks.max()) + 1) + ranks
-            ones = np.ones((1, key.size))
-            same = _signed_dominance(key, self.theta, ones, ones[:0])[0][0] - self.start
-            A -= self.plain * same
-        num = np.empty(len(self.weights))
-        num[self.is_plain] = A.sum(axis=1)
-        num[~self.is_plain] = (self.gapped * B).sum(axis=1)
-        values = [float(x / den) if den else math.nan for x, den in zip(num, self.denominators)]
-        for j in self.subnormal:
-            values[j] = _written_out(self.weights[j], self.theta, scores, self.mass[j])
-        return values
+            rows = self.tied if len(self.theta) > 1 else slice(None)
+            key = self.group * (int(ranks.max()) + 1) + ranks[rows]
+            ones = np.ones((1, *key.shape))
+            same = _signed_dominance(key, self.theta[self.tied], ones, ones[:0])[0][0]
+            A[:, rows] -= self.plain[:, self.tied] * (same - self.start[self.tied])
+        num = np.empty((len(self.weights), len(scores)))
+        num[self.is_plain] = A.sum(axis=-1)
+        num[~self.is_plain] = (self.gapped * B).sum(axis=-1)
+        values = np.full(num.shape, math.nan)
+        np.divide(num, self.denominators, out=values, where=self.denominators != 0)
+        if self.subnormal.any():
+            theta = np.broadcast_to(self.theta, scores.shape)
+            mass = np.broadcast_to(self.mass, (len(self.weights), *scores.shape))
+            for j, m in zip(*np.nonzero(np.broadcast_to(self.subnormal, num.shape))):
+                values[j, m] = _written_out(self.weights[j], theta[m], scores[m], mass[j, m])
+        return values.T.tolist()
 
 
 def empirical_objective(state: MarketState, w: WeightSpec) -> float:
@@ -427,8 +452,8 @@ def empirical_objective(state: MarketState, w: WeightSpec) -> float:
     if state.theta.size < 2:
         raise ValueError("need at least two items")
     objective = _RankObjective((w,))
-    objective.rebuild(state.theta)
-    return objective.values(state.scores())[0]
+    objective.rebuild(state.theta[None])
+    return objective.values(state.scores()[None])[0][0]
 
 
 @dataclass(frozen=True)
@@ -440,9 +465,17 @@ class SimResult:
     replicates: int
     rows: tuple[tuple[int, int, str, float], ...]
 
+    @functools.cached_property
+    def _series(self) -> dict[tuple[str, int], list[float]]:
+        """The values of each (metric, step), in replicate order."""
+        series: dict[tuple[str, int], list[float]] = {}
+        for _, k, metric, value in self.rows:
+            series.setdefault((metric, k), []).append(value)
+        return series
+
     def values(self, metric: str, k: int) -> np.ndarray:
         """Per-replicate values of one metric at one recorded step."""
-        out = [r[3] for r in self.rows if r[2] == metric and r[1] == k]
+        out = self._series.get((metric, k))
         if not out:
             raise KeyError(f"nothing recorded for {metric!r} at step {k}")
         return np.asarray(out)
@@ -467,21 +500,41 @@ class SimResult:
         ))
 
 
+# records scored in one kernel call hold at most this many items in all
+# (a larger market is scored alone): it bounds the kernel's temporaries
+_STACK_ITEMS = 1 << 12
+
+
 def _run_replicate(cfg: SimConfig, rep: int) -> list[tuple[int, int, str, float]]:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
     state = init_market(cfg, rng)
     objective = _RankObjective([normalize_weight(name) for name in cfg.metrics])
     record = set(cfg.record_schedule())
+    stack = max(1, _STACK_ITEMS // cfg.n_items)
     rows: list[tuple[int, int, str, float]] = []
-    seen_births = -1
+    # (step, qualities, scores) of the records not yet scored; qualities
+    # are copied after a birth only, so a market without churn is sorted once
+    pending: list[tuple[int, np.ndarray, np.ndarray]] = []
+    seen_births, theta, built = -1, None, None
     for k in range(1, cfg.steps + 1):
         step_market(state, cfg, rng)
         if k in record:
             if state.births != seen_births:
-                objective.rebuild(state.theta)
+                theta = state.theta.copy()
                 seen_births = state.births
-            values = objective.values(state.scores())
-            rows.extend((rep, k, name, v) for name, v in zip(cfg.metrics, values))
+            pending.append((k, theta, state.scores()))
+        if pending and (len(pending) == stack or k == cfg.steps):
+            thetas = [snapshot for _, snapshot, _ in pending]
+            if any(t is not thetas[0] for t in thetas):
+                objective.rebuild(np.stack(thetas))
+                built = None
+            elif built is not thetas[0]:
+                objective.rebuild(thetas[0][None])
+                built = thetas[0]
+            values = objective.values(np.stack([scores for _, _, scores in pending]))
+            for (step, _, _), vals in zip(pending, values):
+                rows.extend((rep, step, name, v) for name, v in zip(cfg.metrics, vals))
+            pending.clear()
     return rows
 
 

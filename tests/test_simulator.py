@@ -22,10 +22,11 @@ from ratecraft import (
     run_simulation,
     step_market,
 )
-from ratecraft.simulator import _RankObjective, _rank_order
+from ratecraft.simulator import _STACK_ITEMS, _RankObjective, _rank_order, _signed_dominance
 
 FLAT = StepBeta((0.0, 1.0), (0.5,))
 SPLIT = StepBeta((0.0, 0.5, 1.0), (0.0, 1.0))
+GRADED = StepBeta((0.0, 0.3, 0.7, 1.0), (0.2, 0.5, 0.9))
 NAMED = ("kendall", "spearman", "top", "bottom", "extremes")
 
 
@@ -385,7 +386,7 @@ class TestEmpiricalObjective:
                 empirical_objective(state, normalize_weight(kind))
         objective = _RankObjective([normalize_weight(kind) for kind in NAMED])
         with pytest.raises(ValueError, match=r"within \[0, 1\]"):
-            objective.rebuild(state.theta)
+            objective.rebuild(state.theta[None])
 
     def test_large_market_memory_stays_linear(self):
         # a dense float64 matrix at this size alone is 3.2 GB
@@ -402,6 +403,144 @@ class TestEmpiricalObjective:
             tracemalloc.stop()
         assert -1.0 <= value <= 1.0
         assert peak <= 16 * 2**20
+
+
+def snapshots_of(seed, k, n, tied=(), tiny=None, top=3):
+    """K recorded snapshots of an n-item market: qualities, tied among a
+    few distinct values in the snapshots ``tied``, scaled below 1e-100 in
+    snapshot ``tiny`` (where every ``top`` pair weight is so small that
+    the written-out sum scores it), and scores from at most ``top``
+    ratings per item."""
+    rng = np.random.default_rng(seed)
+    theta = rng.random((k, n))
+    for m in tied:
+        theta[m] = rng.choice(rng.random(rng.integers(1, n + 1)), n)
+    if tiny is not None:
+        theta[tiny] *= 1e-100
+    totals = rng.integers(0, top + 1, (k, n))
+    scores = np.where(totals > 0, rng.binomial(totals, theta) / np.maximum(totals, 1), 0.0)
+    return theta, scores
+
+
+@st.composite
+def snapshots(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 200))
+    tied = tuple(sorted(draw(st.sets(st.integers(0, k - 1)))))
+    tiny = draw(st.none() | st.integers(0, k - 1)) if k > 1 else None
+    top = draw(st.sampled_from([1, 3, 40]))
+    return snapshots_of(draw(st.integers(0, 2**32 - 1)), k, n, tied, tiny, top)
+
+
+def lone_values(weights, theta, scores):
+    objective = _RankObjective(weights)
+    objective.rebuild(theta[None])
+    return objective.values(scores[None])[0]
+
+
+def replayed_rows(cfg: SimConfig):
+    """The run's rows with every record scored alone, one metric at a time."""
+    record = set(cfg.record_schedule())
+    rows = []
+    for rep in range(cfg.replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep,)))
+        state = init_market(cfg, rng)
+        for k in range(1, cfg.steps + 1):
+            step_market(state, cfg, rng)
+            if k in record:
+                rows.extend((rep, k, name, empirical_objective(state, normalize_weight(name)))
+                            for name in cfg.metrics)
+    return rows
+
+
+class TestStackedRecords:
+    """Several recorded markets scored in one kernel call give what lone
+    calls give, bit for bit."""
+
+    WEIGHTS = [normalize_weight(kind) for kind in NAMED]
+
+    # n = 2, n < 16, n just above a power of two and n = 200; quality
+    # ties in some snapshots only; a tiny snapshot beside normal ones
+    @given(market=snapshots())
+    @example(market=snapshots_of(1, 3, 2, tied=(1,)))
+    @example(market=snapshots_of(2, 6, 15, tied=(0, 4), tiny=2))
+    @example(market=snapshots_of(3, 4, 17, tiny=3, top=1))
+    @example(market=snapshots_of(4, 2, 200, tied=(1,), top=40))
+    @settings(max_examples=60, deadline=None)
+    def test_objective_matches_lone_calls(self, market):
+        theta, scores = market
+        objective = _RankObjective(self.WEIGHTS)
+        objective.rebuild(theta)
+        got = objective.values(scores)
+        assert repr(got) == repr([lone_values(self.WEIGHTS, t, s) for t, s in zip(theta, scores)])
+        # one row of qualities shared by every row of scores
+        objective.rebuild(theta[:1])
+        got = objective.values(scores)
+        assert repr(got) == repr([lone_values(self.WEIGHTS, theta[0], s) for s in scores])
+
+    @given(market=snapshots(), rows=st.sampled_from([(1, 0), (0, 1), (1, 2), (2, 1)]))
+    @example(market=snapshots_of(5, 5, 33, tied=(2,)), rows=(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_lone_calls(self, market, rows):
+        theta, scores = market
+        theta = np.sort(theta, axis=1)
+        ranks = (scores * 1000).astype(np.int64)
+        ka = rows[0]
+        mass = np.random.default_rng(theta.size).random((sum(rows), *theta.shape))
+        A, B = _signed_dominance(ranks, theta, mass[:ka], mass[ka:])
+        for m in range(len(theta)):
+            one = slice(m, m + 1)
+            a, b = _signed_dominance(ranks[one], theta[one], mass[:ka, one], mass[ka:, one])
+            assert A[:, one].tobytes() == a.tobytes() and B[:, one].tobytes() == b.tobytes()
+
+    def test_tiny_snapshot_takes_written_out_sum(self):
+        theta, _ = snapshots_of(2, 6, 15, tied=(0, 4), tiny=2)
+        objective = _RankObjective(self.WEIGHTS)
+        objective.rebuild(theta)
+        assert [tuple(x) for x in np.argwhere(objective.subnormal)] == [(NAMED.index("top"), 2)]
+
+    @pytest.mark.parametrize("n_items, death, steps, record_at", [
+        # stacks of three: eight records leave a stack of two
+        (_STACK_ITEMS // 3, 0.05, 8, None),
+        (_STACK_ITEMS // 3, 0.0, 8, None),
+        # above the cap every record is scored alone
+        (_STACK_ITEMS + 1, 0.05, 3, None),
+        # sparse records, the last step not among them
+        (40, 0.05, 30, (2, 3, 9, 28)),
+        (40, 0.0, 30, (5, 17, 29)),
+    ])
+    def test_run_matches_replay(self, n_items, death, steps, record_at):
+        cfg = SimConfig(design=GRADED, steps=steps, n_items=n_items, n_buyers=25,
+                        death_prob=death, metrics=("kendall", "bottom", "top"), seed=5,
+                        replicates=2, record_at=record_at)
+        assert repr(run_simulation(cfg).rows) == repr(tuple(replayed_rows(cfg)))
+
+    def test_market_without_churn_sorts_once(self, monkeypatch):
+        shapes = []
+        rebuild = _RankObjective.rebuild
+
+        def counted(self, theta):
+            shapes.append(theta.shape)
+            rebuild(self, theta)
+
+        monkeypatch.setattr(_RankObjective, "rebuild", counted)
+        n = _STACK_ITEMS // 4
+        run_simulation(SimConfig(design=GRADED, steps=50, n_items=n, n_buyers=20, seed=3))
+        assert shapes == [(1, n)]
+
+    def test_full_stack_memory(self):
+        # one full stack of a 500-item market under two metrics peaked at
+        # 1.59 MiB (numpy 2.4); the within-block sign matrices dominate
+        theta, scores = snapshots_of(7, _STACK_ITEMS // 500, 500, top=40)
+        objective = _RankObjective([normalize_weight("kendall"), normalize_weight("bottom")])
+        tracemalloc.start()
+        try:
+            objective.rebuild(theta)
+            objective.values(scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestRunSimulation:
@@ -532,8 +671,9 @@ class TestSimResult:
         assert list(vals) == expect
 
     def test_missing_lookup_raises(self, result):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as err:
             result.values("kendall", 7)
+        assert err.value.args == ("nothing recorded for 'kendall' at step 7",)
         with pytest.raises(KeyError):
             result.values("spearman", 10)
 
