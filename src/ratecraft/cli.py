@@ -23,6 +23,7 @@ from .core import (
     _NAMED_WEIGHTS,
     MatchProfile,
     QuestionBank,
+    _checked_count,
     _design_from_json,
     _mix_from_json,
     _named_errors,
@@ -111,14 +112,13 @@ def _cmd_estimate_psi(args) -> int:
     if args.mode == "unknown":
         if args.items is None or args.per_item is None:
             raise CliError("--mode unknown requires --items and --per-item")
-        for flag, value in (("--items", args.items), ("--per-item", args.per_item)):
-            if value < 1:
-                raise CliError(f"{flag} must be at least 1")
+        items = _checked_count(args.items, "--items")
+        per_item = _checked_count(args.per_item, "--per-item")
     tally = _count_ratings_csv(args.ratings)
     if args.mode == "known":
         estimate, params = _known_from_tally, (read_qualities_csv(args.qualities),)
     else:
-        estimate, params = _unknown_from_tally, (args.items, args.per_item)
+        estimate, params = _unknown_from_tally, (items, per_item)
     with _named_errors(args.ratings):
         bank = estimate(tally, *params)
     bank.to_csv(args.out)
@@ -192,11 +192,10 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_double(args) -> int:
+    times = _checked_count(args.times, "--times")
     design = load_design(args.design)
-    if args.times < 1:
-        raise CliError("--times must be at least 1")
     beta, g = design["beta"], design["g"]
-    for _ in range(args.times):
+    for _ in range(times):
         beta = double_levels(beta, g)
         g = MatchProfile.uniform(beta.M)
     report = verify_equalization(beta, g)

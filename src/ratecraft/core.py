@@ -170,15 +170,13 @@ def _checked_matching(g: MatchProfile | Iterable[float]) -> np.ndarray:
     return w
 
 
-def _is_count(value, least: int = 1) -> bool:
-    """Whether ``value`` is an integer of at least ``least``, which a bool is not."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
-
-
 def _checked_count(value, name: str, least: int = 1, most: int | None = None) -> int:
     """``value``, an integer of at least ``least`` and, if given, at most
-    ``most``, as an int."""
-    if not _is_count(value, least):
+    ``most``, as an int.  The package's one count check: every integer
+    size, count or seed argument is read through it.  A bool is not a
+    count, and a float, string or NaN fails with the same message as a
+    count below ``least``, never a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be an integer of at most {most}, got {value!r}")
@@ -298,9 +296,7 @@ class MatchProfile(_Rebuilt):
     @staticmethod
     def uniform(M: int) -> "MatchProfile":
         """Constant intensity 1 on every interval."""
-        if M < 1:
-            raise ValueError("M must be at least 1")
-        return MatchProfile("uniform", (1.0,) * M)
+        return MatchProfile("uniform", (1.0,) * _checked_count(M, "M"))
 
     @staticmethod
     def from_table(values: Sequence[float]) -> "MatchProfile":

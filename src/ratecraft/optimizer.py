@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MatchProfile, Partition, StepBeta, _checked_levels, _checked_partition
-from .core import _checked_matching, _is_count
+from .core import _checked_count, _checked_matching
 from .partition import equispaced_partition
 from .rates import adjacent_rates, pair_rates
 
@@ -47,6 +47,9 @@ class SolverConfig:
     max_outer caps the Newton iterations and max_inner the step halvings
     that keep the levels strictly increasing within one iteration.  All
     three apply only to the Newton solve, which constant matching skips.
+    Each cap is stored as an int; anything but an integer of at least 1
+    raises ``ValueError("max_outer must be an integer of at least 1, got
+    0")``, or the same message naming ``max_inner``.
     residual_tol is the allowed spread among adjacent pair rates in a
     solved design, scaled by max(1, largest adjacent rate).
     use_last_level_bound is accepted for compatibility and has no effect.
@@ -63,8 +66,8 @@ class SolverConfig:
             raise ValueError("tol must lie in (0, 1e-2)")
         if not 0.0 < self.residual_tol < math.inf:
             raise ValueError("residual_tol must be positive and finite")
-        if not (_is_count(self.max_outer) and _is_count(self.max_inner)):
-            raise ValueError("iteration caps must be positive integers")
+        for name in ("max_outer", "max_inner"):
+            object.__setattr__(self, name, _checked_count(getattr(self, name), name))
 
 
 def _log_rate_slopes(
@@ -126,8 +129,7 @@ def equalize_chain(
     cfg = cfg or SolverConfig()
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("need 0 <= lo < hi <= 1")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _checked_count(count, "count")
     gw = _checked_matching(g)
     if len(gw) != count + 2:
         raise ValueError(f"need {count + 2} matching entries, got {len(gw)}")
@@ -204,8 +206,7 @@ def nested_bisection(
     0 and 1, a single never-confusable pair, and the exponent is infinite.
     """
     cfg = cfg or SolverConfig()
-    if M < 2:
-        raise ValueError("need at least two intervals")
+    M = _checked_count(M, "M", 2)
     if g is None:
         g = MatchProfile.uniform(M)
     elif not isinstance(g, MatchProfile):
@@ -243,8 +244,7 @@ def double_levels(
     if g is not None and not g.is_constant:
         raise ValueError("level doubling requires constant matching intensity")
     t = _checked_levels(beta)
-    M = len(t)
-    if M < 2:
+    if len(t) < 2:
         raise ValueError("need at least two levels")
     if t[0] != 0.0 or t[-1] != 1.0:
         raise ValueError("levels must run from 0 to 1")
@@ -252,10 +252,10 @@ def double_levels(
         raise ValueError("levels must be strictly increasing")
 
     phi = np.arcsin(np.sqrt(t))
-    out = np.empty(2 * M - 1)
+    out = np.empty(2 * len(t) - 1)
     out[0::2] = t
     out[1::2] = np.sin(0.5 * (phi[:-1] + phi[1:])) ** 2
-    return StepBeta(equispaced_partition(2 * M - 1), out.tolist())
+    return StepBeta(equispaced_partition(len(out)), out.tolist())
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,7 @@ _EVAL_TILES = 512
 
 def equispaced_partition(M: int) -> Partition:
     """M intervals of equal width."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
+    M = _checked_count(M, "M")
     # numpy divides exactly as Python's i / M does, bit for bit
     return Partition((np.arange(M + 1) / M).tolist())
 
@@ -200,11 +199,11 @@ def optimize_partition(
     Raises
     ------
     ValueError
-        If ``grid`` on the dynamic-programming route is not an integer of
-        at least 1, exceeds ``MAX_GRID`` or is smaller than ``M``.
+        If ``M`` is not an integer of at least 1, or if ``grid`` on the
+        dynamic-programming route is not an integer of at least 1, exceeds
+        ``MAX_GRID`` or is smaller than ``M``.
     """
-    if M < 1:
-        raise ValueError("M must be at least 1")
+    M = _checked_count(M, "M")
     if method not in ("auto", "dp"):
         raise ValueError(f"unknown method {method!r}")
     named = _NAMED_WEIGHTS.get(w.kind)

@@ -253,9 +253,7 @@ def numeric_pairwise_rate(
     closed form.
     """
     t_lo, t_hi, g_lo, g_hi = _checked_pair(t_lo, t_hi, g_lo, g_hi)
-    grid = _checked_count(grid, "grid")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    grid = _checked_count(grid, "grid", 2)
 
     def objective(a: float) -> float:
         return g_lo * kl_bernoulli(a, t_lo) + g_hi * kl_bernoulli(a, t_hi)

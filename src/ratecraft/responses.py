@@ -159,8 +159,8 @@ def estimate_unknown(ratings: Iterable[Rating], L: int, N: int) -> QuestionBank:
     midpoint.  Every item must carry exactly N responses, as the ranking
     construction assumes.
     """
-    _checked_count(L, "L")
-    _checked_count(N, "N")
+    L = _checked_count(L, "L")
+    N = _checked_count(N, "N")
     return _unknown_from_tally(_tally(ratings), L, N)
 
 

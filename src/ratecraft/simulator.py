@@ -55,12 +55,11 @@ class SimConfig:
     record_at: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_items < 2:
-            raise ValueError("need at least two items")
-        if self.n_buyers < 1:
-            raise ValueError("need at least one buyer")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        # numpy's draws and the record schedule hold each count in an int64
+        most = np.iinfo(np.int64).max
+        for name, least in ("n_items", 2), ("n_buyers", 1), ("steps", 1), ("replicates", 1):
+            object.__setattr__(self, name, _checked_count(getattr(self, name), name, least, most))
+        object.__setattr__(self, "seed", _checked_count(self.seed, "seed", 0))
         if not 0.0 <= self.death_prob < 1.0:
             raise ValueError("death_prob must lie in [0, 1)")
         if self.matching not in _MATCH_INTENSITY:
@@ -74,18 +73,10 @@ class SimConfig:
                 raise ValueError(f"unknown metric {m!r}")
             if m in metrics[:i]:
                 raise ValueError(f"duplicate metric {m!r}")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        # numpy's draws and the record schedule hold each count in an int64
-        most = np.iinfo(np.int64).max
-        for name, least in ("n_items", 2), ("n_buyers", 1), ("steps", 1), ("replicates", 1):
-            _checked_count(getattr(self, name), name, least, most)
-        _checked_count(self.seed, "seed", 0)
         if self.record_at is not None:
-            rec = tuple(sorted(set(self.record_at)))
-            if not rec or rec[0] < 1 or rec[-1] > self.steps:
+            rec = tuple(sorted({_checked_count(k, "record step") for k in self.record_at}))
+            if not rec or rec[-1] > self.steps:
                 raise ValueError("record steps must lie within [1, steps]")
-            rec = tuple(_checked_count(k, "record step") for k in rec)
             object.__setattr__(self, "record_at", rec)
 
     def record_schedule(self) -> tuple[int, ...]:
@@ -542,11 +533,10 @@ def run_simulation(cfg: SimConfig, jobs: int = 1) -> SimResult:
     """All replicates of the configured simulation.
 
     Replicate ``i`` draws from a child stream of the master seed indexed
-    by ``i``, so results do not depend on scheduling; with ``jobs > 1``
-    replicates run in worker processes and are merged by index.
+    by ``i``, so results do not depend on scheduling; with more than one
+    job, replicates run in worker processes and are merged by index.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    jobs = _checked_count(jobs, "jobs")
     if jobs == 1 or cfg.replicates == 1:
         chunks = [_run_replicate(cfg, rep) for rep in range(cfg.replicates)]
     else:
@@ -593,10 +583,9 @@ def estimate_pk_rate(
     if not 0.0 <= t2 <= t1 <= 1.0:
         raise ValueError("need 0 <= t2 <= t1 <= 1")
     _checked_matching((g1, g2))
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    if reps < 1000:
-        raise ValueError("too few replicates to estimate tail mass")
+    k_max = _checked_count(k_max, "k_max", 2)
+    reps = _checked_count(reps, "reps", 1000)
+    seed = _checked_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     pos1 = np.zeros(reps, dtype=np.int64)
     pos2 = np.zeros(reps, dtype=np.int64)

@@ -236,7 +236,7 @@ class TestDouble:
             capsys, "double", "--design", str(design_file), "--times", times, "--out", str(out)
         )
         assert code == 1
-        assert err == "error: --times must be at least 1\n"
+        assert err == f"error: --times must be an integer of at least 1, got {times}\n"
         assert not out.exists()
 
     def test_unknown_weight_kind_is_input_error(self, design_file, tmp_path, capsys):
@@ -455,9 +455,9 @@ class TestEstimatePsi:
 
 
     @pytest.mark.parametrize("counts, problem", [
-        (("--items", "0", "--per-item", "80"), "--items must be at least 1"),
-        (("--items", "-2", "--per-item", "0"), "--items must be at least 1"),
-        (("--items", "2", "--per-item", "0"), "--per-item must be at least 1"),
+        (("--items", "0", "--per-item", "80"), "--items must be an integer of at least 1, got 0"),
+        (("--items", "-2", "--per-item", "0"), "--items must be an integer of at least 1, got -2"),
+        (("--items", "2", "--per-item", "0"), "--per-item must be an integer of at least 1, got 0"),
     ])
     def test_counts_below_one_are_flag_errors(self, tmp_path, counts, problem, capsys):
         # the ratings file does not exist: the flags are checked before it is read

@@ -29,10 +29,12 @@ from ratecraft.core import (
     normalize_weight,
     save_design,
 )
-from ratecraft.optimizer import SolverConfig, nested_bisection
-from ratecraft.partition import within_mass
+from ratecraft.cli import main
+from ratecraft.optimizer import SolverConfig, equalize_chain, nested_bisection
+from ratecraft.partition import equispaced_partition, optimize_partition, within_mass
+from ratecraft.rates import numeric_pairwise_rate
 from ratecraft.responses import _RATINGS, PsiInterpolator
-from ratecraft.simulator import estimate_pk_rate
+from ratecraft.simulator import SimConfig, estimate_pk_rate, run_simulation
 
 
 class TestStepBeta:
@@ -716,10 +718,10 @@ _NAN, _INF = math.nan, math.inf
     (lambda: SolverConfig(residual_tol=_NAN), "residual_tol must be positive and finite"),
     (lambda: SolverConfig(residual_tol=_INF), "residual_tol must be positive and finite"),
     (lambda: SolverConfig(residual_tol=0.0), "residual_tol must be positive and finite"),
-    (lambda: SolverConfig(max_outer=2.5), "iteration caps must be positive integers"),
-    (lambda: SolverConfig(max_outer=_NAN), "iteration caps must be positive integers"),
-    (lambda: SolverConfig(max_inner=True), "iteration caps must be positive integers"),
-    (lambda: SolverConfig(max_inner=0), "iteration caps must be positive integers"),
+    (lambda: SolverConfig(max_outer=2.5), "max_outer must be an integer of at least 1, got 2.5"),
+    (lambda: SolverConfig(max_outer=_NAN), "max_outer must be an integer of at least 1, got nan"),
+    (lambda: SolverConfig(max_inner=True), "max_inner must be an integer of at least 1, got True"),
+    (lambda: SolverConfig(max_inner=0), "max_inner must be an integer of at least 1, got 0"),
     (lambda: SolverConfig(max_outer=np.int64(3), residual_tol=1e-6), None),
     # interpolated response rates
     (lambda: PsiInterpolator((0.5, _NAN), [[0.1], [0.2]]), "anchors must be strictly increasing"),
@@ -739,6 +741,75 @@ def test_vector_checks_keep_their_messages(check, message):
     with pytest.raises(ValueError) as err, np.errstate(all="ignore"):
         check()
     assert str(err.value) == message
+
+
+def _sim(**counts):
+    return SimConfig(**{"design": StepBeta((0.0, 1.0), (0.5,)), "steps": 2, "n_items": 3, **counts})
+
+
+def _pk_rate(k_max=30, reps=5_000, seed=2):
+    return estimate_pk_rate(0.7, 0.3, 1.0, 1.0, k_max=k_max, reps=reps, seed=seed)
+
+
+# every count argument of the library: its owner, its name, its least
+# value, a call that reads it, and a value the call accepts
+_COUNT_ARGUMENTS = [
+    ("SimConfig", "n_items", 2, lambda n: _sim(n_items=n), 3),
+    ("SimConfig", "n_buyers", 1, lambda n: _sim(n_buyers=n), 2),
+    ("SimConfig", "steps", 1, lambda n: _sim(steps=n), 2),
+    ("SimConfig", "replicates", 1, lambda n: _sim(replicates=n), 2),
+    ("run_simulation", "jobs", 1, lambda n: run_simulation(_sim(), jobs=n), 1),
+    ("estimate_pk_rate", "k_max", 2, lambda n: _pk_rate(k_max=n), 30),
+    ("estimate_pk_rate", "reps", 1000, lambda n: _pk_rate(reps=n), 5_000),
+    ("estimate_pk_rate", "seed", 0, lambda n: _pk_rate(seed=n), 2),
+    ("equalize_chain", "count", 1, lambda n: equalize_chain(0.1, 0.9, n, (1.0,) * 3), 1),
+    ("nested_bisection", "M", 2, nested_bisection, 3),
+    ("equispaced_partition", "M", 1, equispaced_partition, 3),
+    ("optimize_partition", "M", 1, lambda n: optimize_partition(normalize_weight("top"), n, 100), 3),
+    ("MatchProfile.uniform", "M", 1, MatchProfile.uniform, 3),
+    ("numeric_pairwise_rate", "grid", 2, lambda n: numeric_pairwise_rate(0.3, 0.7, 1.0, 1.0, n), 100),
+    ("SolverConfig", "max_outer", 1, lambda n: SolverConfig(max_outer=n), 3),
+    ("SolverConfig", "max_inner", 1, lambda n: SolverConfig(max_inner=n), 3),
+]
+
+
+@pytest.mark.parametrize("name, least, call, value, good", [
+    pytest.param(name, least, call, value, good, id=f"{owner}-{name}-{value!r}")
+    for owner, name, least, call, good in _COUNT_ARGUMENTS
+    for value in (2.5, True, "3", _NAN, least - 1, np.int64(good))
+])
+def test_count_checks_share_one_message(name, least, call, value, good):
+    """Every count argument goes through core's one count check, which
+    refuses a float, a bool, a string, NaN and a count below its least with
+    one message, never a TypeError, and reads a numpy integer as an int."""
+    if isinstance(value, np.integer):
+        result = call(value)
+        assert result == call(good)
+        if isinstance(result, (SimConfig, SolverConfig)):
+            assert type(getattr(result, name)) is int
+        return
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be an integer of at least {least}, got {value!r}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["double", "--design", "absent.json", "--times", "0", "--out", "o.json"],
+     "--times must be an integer of at least 1, got 0"),
+    (["estimate-psi", "--mode", "unknown", "--ratings", "absent.csv",
+      "--items", "0", "--per-item", "80", "--out", "psi.csv"],
+     "--items must be an integer of at least 1, got 0"),
+    (["estimate-psi", "--mode", "unknown", "--ratings", "absent.csv",
+      "--items", "5", "--per-item", "0", "--out", "psi.csv"],
+     "--per-item must be an integer of at least 1, got 0"),
+])
+def test_count_flags_share_one_message(argv, message, tmp_path, monkeypatch, capsys):
+    # argparse refuses a flag that is not an integer; the files do not
+    # exist, so the count is checked before any file is read
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad, name", [([0, None, 1], "NoneType"), ([0, [0.5], 1], "list")])

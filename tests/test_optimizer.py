@@ -288,6 +288,20 @@ class TestNestedBisection:
         for a, b in zip(t, reversed(t)):
             assert a == pytest.approx(1.0 - b, abs=1e-9)
 
+    # the equalized rate is about (pi/2)^2 / (sum_m h_m^(-1/2))^2, with h_m
+    # the harmonic mean of pair m's two intensities; the relative gap times
+    # M^2 measured -0.42, -0.41, -0.30 (uniform) and -17.9, -23.5, -30.8
+    # (linear) at these M
+    @pytest.mark.parametrize("kind, bar", [("uniform", 0.5), ("linear", 40.0)])
+    @pytest.mark.parametrize("M", (200, 1_000, 10_000))
+    def test_rate_meets_the_continuum_formula(self, kind, bar, M):
+        g = MatchProfile.from_kind(kind, equispaced_partition(M))
+        v = np.array(g.values)
+        h = 2.0 / (1.0 / v[:-1] + 1.0 / v[1:])
+        continuum = (math.pi / 2.0) ** 2 / np.sum(h**-0.5) ** 2
+        gap = continuum / nested_bisection(M, g).rate - 1.0
+        assert abs(gap) < bar / (M * M)
+
 
 class TestDoubleLevels:
     def test_doubles_three_to_five_closed_form(self):

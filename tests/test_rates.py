@@ -140,7 +140,7 @@ class TestPairwiseRate:
 
     @pytest.mark.parametrize("grid", (2.5, 10.0, "100", True), ids=repr)
     def test_numeric_oracle_grid_must_be_an_integer(self, grid):
-        with pytest.raises(ValueError, match=r"^grid must be an integer of at least 1, got "):
+        with pytest.raises(ValueError, match=r"^grid must be an integer of at least 2, got "):
             numeric_pairwise_rate(0.3, 0.7, 1.0, 1.0, grid)
 
     def test_numeric_oracle_grid_may_be_a_numpy_integer(self):

@@ -59,13 +59,13 @@ def replay_state(cfg: SimConfig, rep: int, steps: int) -> MarketState:
 
 class TestSimConfig:
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError, match="two items"):
+        with pytest.raises(ValueError, match="^n_items must be an integer of at least 2, got 1$"):
             SimConfig(design=FLAT, steps=5, n_items=1)
-        with pytest.raises(ValueError, match="one buyer"):
+        with pytest.raises(ValueError, match="^n_buyers must be an integer of at least 1, got 0$"):
             SimConfig(design=FLAT, steps=5, n_buyers=0)
-        with pytest.raises(ValueError, match="one step"):
+        with pytest.raises(ValueError, match="^steps must be an integer of at least 1, got 0$"):
             SimConfig(design=FLAT, steps=0)
-        with pytest.raises(ValueError, match="one replicate"):
+        with pytest.raises(ValueError, match="^replicates must be an integer of at least 1, got 0$"):
             SimConfig(design=FLAT, steps=5, replicates=0)
 
     def test_rejects_bad_death_prob(self):
@@ -100,6 +100,8 @@ class TestSimConfig:
         ("seed", False, "seed must be an integer of at least 0, got False"),
         ("record_at", (2.5,), "record step must be an integer of at least 1, got 2.5"),
         ("record_at", (True, 3), "record step must be an integer of at least 1, got True"),
+        ("record_at", (3, "4"), "record step must be an integer of at least 1, got '4'"),
+        ("record_at", (0, 10), "record step must be an integer of at least 1, got 0"),
     ])
     def test_rejects_counts_that_are_not_integers(self, field, value, message):
         with pytest.raises(ValueError) as err:
