@@ -155,19 +155,14 @@ def _checked_levels(beta: StepBeta | Iterable[float]) -> np.ndarray:
     # written so that NaN fails: it compares false with everything
     if not (t[1:] >= t[:-1]).all():
         raise ValueError("levels must be nondecreasing")
-    if not ((t >= 0.0) & (t <= 1.0)).all():
-        raise ValueError("levels must lie within [0, 1]")
-    return t
+    return _checked_unit(t, "levels")
 
 
 def _checked_matching(g: MatchProfile | Iterable[float]) -> np.ndarray:
     """Matching intensities as a float array, positive and finite."""
     if isinstance(g, MatchProfile):
         return g._values
-    w = _float_array(g)
-    if not (np.isfinite(w) & (w > 0.0)).all():
-        raise ValueError("matching intensities must be positive and finite")
-    return w
+    return _checked_positive(_float_array(g), "matching intensities")
 
 
 def _checked_count(value, name: str, least: int = 1, most: int | None = None) -> int:
@@ -183,11 +178,21 @@ def _checked_count(value, name: str, least: int = 1, most: int | None = None) ->
     return int(value)
 
 
-def _checked_qualities(theta) -> np.ndarray:
-    """Qualities as a float array; NaN or a value outside [0, 1] raises."""
-    arr = np.asarray(theta, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("quality must lie within [0, 1]")
+# One check per value rule: every probability, level or quality is read
+# through _checked_unit and every positive weight through _checked_positive.
+def _checked_unit(values, name: str) -> np.ndarray:
+    """``values`` as a float array; NaN or a value outside [0, 1] raises."""
+    arr = np.asarray(values, dtype=float)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise ValueError(f"{name} must lie within [0, 1]")
+    return arr
+
+
+def _checked_positive(values, name: str) -> np.ndarray:
+    """``values`` as a float array; NaN, inf or a value <= 0 raises."""
+    arr = np.asarray(values, dtype=float)
+    if not (np.isfinite(arr) & (arr > 0.0)).all():
+        raise ValueError(f"{name} must be positive and finite")
     return arr
 
 
@@ -249,7 +254,7 @@ class StepBeta(_Rebuilt):
         return len(self.t)
 
     def _index(self, theta) -> tuple[np.ndarray, bool]:
-        arr = _checked_qualities(theta)
+        arr = _checked_unit(theta, "quality")
         idx = np.searchsorted(self._s, arr, side="right") - 1
         return np.minimum(np.maximum(idx, 0), self.M - 1), np.isscalar(theta) or arr.ndim == 0
 
@@ -332,13 +337,12 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not math.isfinite(self.constant) or self.constant <= 0.0:
-            raise ValueError("normalizing constant must be positive")
+        constant = float(_checked_positive(self.constant, "normalizing constant"))
+        object.__setattr__(self, "constant", constant)
 
     def __call__(self, theta1, theta2):
         """Evaluate the normalized weight; defined for theta1 >= theta2."""
-        a = np.asarray(theta1, dtype=float)
-        b = np.asarray(theta2, dtype=float)
+        a, b = _checked_unit(theta1, "quality"), _checked_unit(theta2, "quality")
         out = self.constant * self.raw(a, b)
         if np.isscalar(theta1) and np.isscalar(theta2):
             return float(out)
@@ -349,7 +353,7 @@ class WeightSpec:
         a custom weight has none and raises ``ValueError``."""
         if self.kind not in _NAMED_WEIGHTS:
             raise ValueError(f"{self.kind} weight has no separable form")
-        t = np.asarray(theta, dtype=float)
+        t = _checked_unit(theta, "quality")
         return np.array(_NAMED_WEIGHTS[self.kind].P(t), dtype=float)
 
     def _table(self, grid: int) -> np.ndarray:
@@ -645,8 +649,7 @@ class QuestionBank:
                 f"psi shape {psi.shape} does not match "
                 f"({len(thetas)}, {len(self.questions)})"
             )
-        if not np.all((psi >= 0.0) & (psi <= 1.0)):
-            raise ValueError("response probabilities must lie within [0, 1]")
+        _checked_unit(psi, "response probabilities")
         for name in ("positives", "totals"):
             counts = getattr(self, name)
             if counts is not None:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import QuestionBank, QuestionDistribution, StepBeta
+from .core import QuestionBank, QuestionDistribution, StepBeta, _checked_positive
 from .responses import PsiInterpolator
 
 __all__ = [
@@ -50,17 +50,13 @@ def _target_vector(beta, bank: QuestionBank) -> np.ndarray:
     return target
 
 
-def _check_weights(
-    theta_weights: Sequence[float] | None, m: int
-) -> np.ndarray:
+def _anchor_weights(theta_weights: Sequence[float] | None, m: int) -> np.ndarray:
+    """The ``m`` per-quality weights of a fit, all 1 if not given."""
     if theta_weights is None:
         return np.ones(m)
-    u = np.asarray(theta_weights, dtype=float)
-    if u.shape != (m,):
+    if np.shape(theta_weights) != (m,):
         raise ValueError(f"need {m} per-quality weights")
-    if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-        raise ValueError("per-quality weights must be positive and finite")
-    return u
+    return _checked_positive(theta_weights, "per-quality weights")
 
 
 def fit_h(
@@ -95,7 +91,7 @@ def fit_h(
         raise ValueError(f"unknown constraint {constraint!r}")
     target = _target_vector(beta, bank)
     m, n = bank.n_thetas, bank.n_questions
-    u = _check_weights(theta_weights, m)
+    u = _anchor_weights(theta_weights, m)
     psi = bank.psi
 
     if constraint == "single_question":
@@ -312,6 +308,6 @@ def l1_gap(
     if h.questions != bank.questions:
         raise ValueError("question distribution and bank list different questions")
     target = _target_vector(beta, bank)
-    u = _check_weights(theta_weights, bank.n_thetas)
+    u = _anchor_weights(theta_weights, bank.n_thetas)
     mix = bank.psi @ np.asarray(h.probabilities)
     return float((u * np.abs(target - mix)).sum())

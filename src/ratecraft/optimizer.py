@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MatchProfile, Partition, StepBeta, _checked_levels, _checked_partition
-from .core import _checked_count, _checked_matching
+from .core import _checked_count, _checked_matching, _checked_positive
 from .partition import equispaced_partition
 from .rates import adjacent_rates, pair_rates
 
@@ -64,8 +64,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1e-2:
             raise ValueError("tol must lie in (0, 1e-2)")
-        if not 0.0 < self.residual_tol < math.inf:
-            raise ValueError("residual_tol must be positive and finite")
+        residual_tol = float(_checked_positive(self.residual_tol, "residual_tol"))
+        object.__setattr__(self, "residual_tol", residual_tol)
         for name in ("max_outer", "max_inner"):
             object.__setattr__(self, name, _checked_count(getattr(self, name), name))
 

@@ -48,12 +48,12 @@ def interval_mass(w: WeightSpec, a: float, b: float, grid: int = 1000) -> float:
     """Normalized mass of pairs with both qualities in [a, b].  A custom
     weight reads its mass table at ``grid``, so a and b must be multiples
     of ``1/grid``; named kinds take any a and b."""
+    grid = _checked_count(grid, "grid")
     if not 0.0 <= a < b <= 1.0:
         raise ValueError("need 0 <= a < b <= 1")
     named = _NAMED_WEIGHTS.get(w.kind)
     if named is not None:
         return float(named.interval_mass(a, b))
-    grid = _checked_count(grid, "grid")
     ka, kb = int(round(a * grid)), int(round(b * grid))
     if ka / grid != a or kb / grid != b:
         raise ValueError(f"custom weight needs interval ends on the grid of {grid} cells")
@@ -65,6 +65,7 @@ def within_mass(
 ) -> float:
     """Total weight mass lost to same-interval pairs; a custom weight
     needs breakpoints on the grid (see :func:`interval_mass`)."""
+    grid = _checked_count(grid, "grid")
     s = _checked_breakpoints(partition).tolist()
     return float(sum(interval_mass(w, a, b, grid) for a, b in zip(s, s[1:])))
 
@@ -199,17 +200,17 @@ def optimize_partition(
     Raises
     ------
     ValueError
-        If ``M`` is not an integer of at least 1, or if ``grid`` on the
-        dynamic-programming route is not an integer of at least 1, exceeds
-        ``MAX_GRID`` or is smaller than ``M``.
+        If ``M`` or ``grid`` is not an integer of at least 1, or if ``grid``
+        on the dynamic-programming route exceeds ``MAX_GRID`` or is
+        smaller than ``M``.
     """
     M = _checked_count(M, "M")
     if method not in ("auto", "dp"):
         raise ValueError(f"unknown method {method!r}")
+    grid = _checked_count(grid, "grid")
     named = _NAMED_WEIGHTS.get(w.kind)
     if method == "auto" and named is not None and named.equal_width:
         return equispaced_partition(M)
-    grid = _checked_count(grid, "grid")
     if grid > MAX_GRID:
         raise ValueError(
             f"grid {grid} exceeds the limit of {MAX_GRID} for the partition "

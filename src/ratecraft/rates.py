@@ -21,6 +21,7 @@ from .core import (
     _checked_count,
     _checked_levels,
     _checked_matching,
+    _checked_unit,
 )
 
 __all__ = [
@@ -36,29 +37,11 @@ __all__ = [
 ]
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie within [0, 1], got {value}")
-    return value
-
-
-def _check_weight(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
 def _checked_pair(t_lo, t_hi, g_lo, g_hi) -> tuple[float, float, float, float]:
-    """One level pair's arguments as floats, checked in the order t_lo,
-    t_hi, g_lo, g_hi, then t_lo <= t_hi; the first fault raises."""
-    t_lo = _check_prob("t_lo", t_lo)
-    t_hi = _check_prob("t_hi", t_hi)
-    g_lo = _check_weight("g_lo", g_lo)
-    g_hi = _check_weight("g_hi", g_hi)
-    if t_lo > t_hi:
-        raise ValueError("t_lo must not exceed t_hi")
+    """One level pair's arguments as floats, checked as the levels
+    (t_lo, t_hi) and then the matching intensities (g_lo, g_hi)."""
+    t_lo, t_hi = _checked_levels((t_lo, t_hi)).tolist()
+    g_lo, g_hi = _checked_matching((g_lo, g_hi)).tolist()
     return t_lo, t_hi, g_lo, g_hi
 
 
@@ -69,8 +52,7 @@ def kl_bernoulli(a: float, t: float) -> float:
     conventions: ``0 log 0 = 0``, and a degenerate reference ``t`` in
     {0, 1} gives infinity unless ``a`` equals it.
     """
-    a = _check_prob("a", a)
-    t = _check_prob("t", t)
+    a, t = float(_checked_unit(a, "a")), float(_checked_unit(t, "t"))
     if a == t:
         return 0.0
     if t == 0.0 or t == 1.0:

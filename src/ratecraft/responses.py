@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import QuestionBank, _as_float_tuple, _checked_qualities, _count_csv_rows, _float_array
+from .core import QuestionBank, _as_float_tuple, _checked_unit, _count_csv_rows, _float_array
 from .core import _checked_count, _read_csv, _Rebuilt, _write_csv
 
 __all__ = [
@@ -57,9 +57,8 @@ class PsiInterpolator(_Rebuilt):
         # written so that NaN fails: it compares false with everything
         if not (arr[1:] > arr[:-1]).all():
             raise ValueError("anchors must be strictly increasing")
-        _checked_qualities(arr)
-        if not ((values >= 0.0) & (values <= 1.0)).all():
-            raise ValueError("anchored values must lie within [0, 1]")
+        _checked_unit(arr, "quality")
+        _checked_unit(values, "anchored values")
 
     @staticmethod
     def from_bank(bank: QuestionBank) -> "PsiInterpolator":
@@ -71,7 +70,7 @@ class PsiInterpolator(_Rebuilt):
 
     def rows(self, thetas) -> np.ndarray:
         """Interpolated probability rows for an array of qualities."""
-        th = _checked_qualities(thetas)
+        th = _checked_unit(thetas, "quality")
         anchors = self._anchors
         clipped = np.minimum(np.maximum(th, anchors[0]), anchors[-1])
         if len(anchors) == 1:

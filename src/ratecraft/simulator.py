@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import _MATCH_INTENSITY, _NAMED_WEIGHTS, StepBeta, WeightSpec, normalize_weight
-from .core import _checked_count, _checked_matching, _write_csv
+from .core import _checked_count, _checked_levels, _checked_matching, _checked_unit, _write_csv
 
 __all__ = [
     "SimConfig",
@@ -94,9 +94,7 @@ class SimConfig:
         p = np.asarray(self.design(thetas), dtype=float)
         if p.shape != np.shape(thetas):
             raise ValueError("design must return one probability per quality")
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError("design probabilities must lie within [0, 1]")
-        return p
+        return _checked_unit(p, "design probabilities")
 
 
 @dataclass
@@ -381,10 +379,8 @@ class _RankObjective:
     def rebuild(self, theta: np.ndarray) -> None:
         self.order = np.argsort(theta, axis=-1, kind="stable")
         t = np.take_along_axis(theta, self.order, -1)
-        # argsort puts NaN last, so this also rejects NaN
-        if not (np.all(t[:, 0] >= 0.0) and np.all(t[:, -1] <= 1.0)):
-            raise ValueError("qualities must be finite and lie within [0, 1]")
         self.theta = t
+        # mass() refuses NaN and any quality outside [0, 1]
         self.mass = np.stack([w.mass(t) for w in self.weights])
         # after mass(), which refuses a custom weight first
         self.is_plain = np.array([not _NAMED_WEIGHTS[w.kind].gapped for w in self.weights])
@@ -439,7 +435,7 @@ class _RankObjective:
 def empirical_objective(state: MarketState, w: WeightSpec) -> float:
     """Weighted fraction of correctly ordered pairs minus incorrectly
     ordered ones; score ties contribute zero.  Named weight kinds only, and
-    qualities must be finite and lie within [0, 1]."""
+    every quality within [0, 1]."""
     if state.theta.size < 2:
         raise ValueError("need at least two items")
     objective = _RankObjective((w,))
@@ -580,8 +576,7 @@ def estimate_pk_rate(
     [10/reps, 0.1]; with no decay (equal levels) the fit runs over the
     whole resolvable range and comes out near zero.
     """
-    if not 0.0 <= t2 <= t1 <= 1.0:
-        raise ValueError("need 0 <= t2 <= t1 <= 1")
+    t2, t1 = _checked_levels((t2, t1)).tolist()
     _checked_matching((g1, g2))
     k_max = _checked_count(k_max, "k_max", 2)
     reps = _checked_count(reps, "reps", 1000)

@@ -19,6 +19,7 @@ from ratecraft.core import (
     QuestionBank,
     QuestionDistribution,
     StepBeta,
+    WeightSpec,
     _checked_breakpoints,
     _checked_levels,
     _checked_matching,
@@ -30,11 +31,24 @@ from ratecraft.core import (
     save_design,
 )
 from ratecraft.cli import main
+from ratecraft.heuristic import fit_h
 from ratecraft.optimizer import SolverConfig, equalize_chain, nested_bisection
-from ratecraft.partition import equispaced_partition, optimize_partition, within_mass
-from ratecraft.rates import numeric_pairwise_rate
+from ratecraft.partition import (
+    asymptotic_value,
+    equispaced_partition,
+    interval_mass,
+    optimize_partition,
+    within_mass,
+)
+from ratecraft.rates import kl_bernoulli, numeric_pairwise_rate, pairwise_rate
 from ratecraft.responses import _RATINGS, PsiInterpolator
-from ratecraft.simulator import SimConfig, estimate_pk_rate, run_simulation
+from ratecraft.simulator import (
+    MarketState,
+    SimConfig,
+    empirical_objective,
+    estimate_pk_rate,
+    run_simulation,
+)
 
 
 class TestStepBeta:
@@ -657,6 +671,30 @@ def _double(t):
     return double_levels(t)
 
 
+def _bank(psi=((0.2, 0.4), (0.6, 0.8))):
+    return QuestionBank((0.25, 0.75), ("q1", "q2"), psi)
+
+
+def _fit(theta_weights):
+    return fit_h(StepBeta((0.0, 1.0), (0.5,)), _bank(), theta_weights=theta_weights)
+
+
+def _design_probability(p):
+    cfg = SimConfig(design=lambda th: np.full(np.shape(th), p), steps=1, n_items=2)
+    return cfg.design_probability(np.array([0.2, 0.7]))
+
+
+def _objective(*theta):
+    n = len(theta)
+    market = MarketState(np.array(theta), np.full(n, 0.5), np.arange(n), np.full(n, n),
+                         np.arange(n), n)
+    return empirical_objective(market, normalize_weight("top"))
+
+
+def _constant(c):
+    return WeightSpec("top", c, _NAMED_WEIGHTS["top"].raw)
+
+
 _NAN, _INF = math.nan, math.inf
 
 
@@ -733,6 +771,74 @@ _NAN, _INF = math.nan, math.inf
     (lambda: estimate_pk_rate(0.7, 0.3, _NAN, 1.0), "matching intensities must be positive and finite"),
     (lambda: estimate_pk_rate(0.7, 0.3, 1.0, _INF), "matching intensities must be positive and finite"),
     (lambda: estimate_pk_rate(0.7, 0.3, 0.0, 1.0), "matching intensities must be positive and finite"),
+    # more levels out of range
+    (lambda: StepBeta((0.0, 0.5, 1.0), (-0.5, 0.5)), "levels must lie within [0, 1]"),
+    (lambda: StepBeta((0.0, 0.5, 1.0), (0.5, 1.5)), "levels must lie within [0, 1]"),
+    (lambda: MatchProfile("table", (1.0, -1.0)), "matching intensities must be positive and finite"),
+    (lambda: SolverConfig(residual_tol=-1.0), "residual_tol must be positive and finite"),
+    # a question bank's response probabilities
+    (lambda: _bank(((0.2, _NAN), (0.6, 0.8))), "response probabilities must lie within [0, 1]"),
+    (lambda: _bank(((0.2, 0.4), (_INF, 0.8))), "response probabilities must lie within [0, 1]"),
+    (lambda: _bank(((0.2, 0.4), (0.6, 1.5))), "response probabilities must lie within [0, 1]"),
+    (lambda: _bank(((0.0, 0.4), (0.6, 1.0))), None),
+    # a weight's normalizing constant
+    (lambda: _constant(_NAN), "normalizing constant must be positive and finite"),
+    (lambda: _constant(_INF), "normalizing constant must be positive and finite"),
+    (lambda: _constant(0.0), "normalizing constant must be positive and finite"),
+    (lambda: _constant(30.0), None),
+    # a weight's qualities
+    (lambda: normalize_weight("top")(_NAN, 0.2), "quality must lie within [0, 1]"),
+    (lambda: normalize_weight("top")(0.5, _INF), "quality must lie within [0, 1]"),
+    (lambda: normalize_weight("top")(1.5, 0.2), "quality must lie within [0, 1]"),
+    (lambda: normalize_weight("top")(0.5, 0.2), None),
+    (lambda: normalize_weight("top").mass(_NAN), "quality must lie within [0, 1]"),
+    (lambda: normalize_weight("top").mass([0.5, _INF]), "quality must lie within [0, 1]"),
+    (lambda: normalize_weight("top").mass(1.5), "quality must lie within [0, 1]"),
+    (lambda: normalize_weight("top").mass([0.0, 1.0]), None),
+    # more interpolated response rates, and the qualities they are read at
+    (lambda: PsiInterpolator((0.2, 1.5), [[0.1], [0.2]]), "quality must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [_INF]]), "anchored values must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[-0.1], [0.2]]), "anchored values must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [0.2]]).rows([0.3, _NAN]),
+     "quality must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [0.2]]).rows([_INF]), "quality must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [0.2]]).rows([1.5]), "quality must lie within [0, 1]"),
+    (lambda: PsiInterpolator((0.2, 0.5), [[0.1], [0.2]]).rows([0.0, 1.0]), None),
+    # the simulator's rating curve and scored qualities
+    (lambda: _design_probability(_NAN), "design probabilities must lie within [0, 1]"),
+    (lambda: _design_probability(_INF), "design probabilities must lie within [0, 1]"),
+    (lambda: _design_probability(-0.1), "design probabilities must lie within [0, 1]"),
+    (lambda: _design_probability(1.0), None),
+    (lambda: _objective(0.2, _NAN), "quality must lie within [0, 1]"),
+    (lambda: _objective(_INF, 0.7), "quality must lie within [0, 1]"),
+    (lambda: _objective(-0.1, 0.7), "quality must lie within [0, 1]"),
+    (lambda: _objective(0.2, 0.7), None),
+    # the Monte Carlo exponent's levels
+    (lambda: estimate_pk_rate(_NAN, 0.3, 1.0, 1.0), "levels must be nondecreasing"),
+    (lambda: estimate_pk_rate(_INF, 0.3, 1.0, 1.0), "levels must lie within [0, 1]"),
+    (lambda: estimate_pk_rate(0.7, -0.2, 1.0, 1.0), "levels must lie within [0, 1]"),
+    (lambda: estimate_pk_rate(0.3, 0.7, 1.0, 1.0), "levels must be nondecreasing"),
+    (lambda: estimate_pk_rate(0.7, 0.3, 1.0, 1.0, k_max=30, reps=1000), None),
+    # one level pair's exponent
+    (lambda: pairwise_rate(_NAN, 0.7, 1.0, 1.0), "levels must be nondecreasing"),
+    (lambda: pairwise_rate(0.3, _INF, 1.0, 1.0), "levels must lie within [0, 1]"),
+    (lambda: pairwise_rate(0.3, 1.5, 1.0, 1.0), "levels must lie within [0, 1]"),
+    (lambda: pairwise_rate(0.7, 0.3, 1.0, 1.0), "levels must be nondecreasing"),
+    (lambda: pairwise_rate(0.3, 0.7, _NAN, 1.0), "matching intensities must be positive and finite"),
+    (lambda: pairwise_rate(0.3, 0.7, 1.0, _INF), "matching intensities must be positive and finite"),
+    (lambda: pairwise_rate(0.3, 0.7, 0.0, 1.0), "matching intensities must be positive and finite"),
+    (lambda: pairwise_rate(0.3, 0.7, 1.0, 2.0), None),
+    # a Bernoulli divergence
+    (lambda: kl_bernoulli(_NAN, 0.5), "a must lie within [0, 1]"),
+    (lambda: kl_bernoulli(0.5, _INF), "t must lie within [0, 1]"),
+    (lambda: kl_bernoulli(1.5, 0.5), "a must lie within [0, 1]"),
+    (lambda: kl_bernoulli(0.0, 1.0), None),
+    # a question fit's per-quality weights
+    (lambda: _fit((1.0, _NAN)), "per-quality weights must be positive and finite"),
+    (lambda: _fit((_INF, 1.0)), "per-quality weights must be positive and finite"),
+    (lambda: _fit((1.0, 0.0)), "per-quality weights must be positive and finite"),
+    (lambda: _fit((1.0, 1.0, 1.0)), "need 2 per-quality weights"),
+    (lambda: _fit((1.0, 2.0)), None),
 ])
 def test_vector_checks_keep_their_messages(check, message):
     if message is None:
@@ -768,6 +874,12 @@ _COUNT_ARGUMENTS = [
     ("optimize_partition", "M", 1, lambda n: optimize_partition(normalize_weight("top"), n, 100), 3),
     ("MatchProfile.uniform", "M", 1, MatchProfile.uniform, 3),
     ("numeric_pairwise_rate", "grid", 2, lambda n: numeric_pairwise_rate(0.3, 0.7, 1.0, 1.0, n), 100),
+    ("interval_mass", "grid", 1, lambda n: interval_mass(normalize_weight("top"), 0, 0.5, n), 100),
+    ("within_mass", "grid", 1, lambda n: within_mass(normalize_weight("top"), [0, 0.5, 1], n), 100),
+    ("asymptotic_value", "grid", 1,
+     lambda n: asymptotic_value(normalize_weight("top"), [0, 0.5, 1], n), 100),
+    ("optimize_partition", "grid", 1,
+     lambda n: optimize_partition(normalize_weight("kendall"), 3, grid=n), 100),
     ("SolverConfig", "max_outer", 1, lambda n: SolverConfig(max_outer=n), 3),
     ("SolverConfig", "max_inner", 1, lambda n: SolverConfig(max_inner=n), 3),
 ]
